@@ -68,9 +68,30 @@ def _move(text: str) -> moves.Move:
     return moves.Move(s=tuple(nums[:-2]), l=nums[-2], b=nums[-1])
 
 
-def _class_payload(data: manifolds.ManifoldData, obj) -> classify.EmbeddingClass:
-    if isinstance(obj, str):
-        obj = _parse_json_arg(obj)
+def _class_arg(text: str) -> dict:
+    obj = _parse_json_arg(text)
+    if not isinstance(obj, dict) or "u" not in obj or "L" not in obj:
+        raise argparse.ArgumentTypeError(
+            'embedding class must be a JSON object with "u" and "L"')
+    return obj
+
+
+def _bounded_int(low: int, high=None):
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+
+    return parse
+
+
+def _class_payload(data: manifolds.ManifoldData,
+                   obj: dict) -> classify.EmbeddingClass:
     beta = obj.get("beta")
     return classify.embedding_class(
         data,
@@ -102,7 +123,11 @@ def _size_str(size) -> str:
 
 def _cmd_validate(args):
     with open(args.file) as fh:
-        data = manifolds.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        data = manifolds.from_json(obj)
+    except ValueError as exc:
+        return {"valid": False, "violations": [str(exc)]}, 1
     violations = manifolds.validate(data)
     if violations:
         return {"valid": False, "violations": violations}, 1
@@ -204,8 +229,7 @@ def _cmd_fiber(args):
 
 def _cmd_link_tau(args):
     report = linking.verify_lambda_tau(args.l, args.b,
-                                       resolution=args.resolution,
-                                       backend=args.backend)
+                                       resolution=args.resolution)
     return {
         "estimate": report.estimate,
         "value": report.value,
@@ -279,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     move_sub = p.add_subparsers(dest="op", required=True)
     q = move_sub.add_parser("apply", help="apply a move to a class")
     _add_manifold_arg(q)
-    q.add_argument("--class", dest="cls", type=_parse_json_arg, required=True,
+    q.add_argument("--class", dest="cls", type=_class_arg, required=True,
                    help='embedding class JSON {"u": [...], "L": [[...]], "beta": [...]}')
     q.add_argument("--move", type=_move, required=True,
                    help="comma separated s_1,...,s_b1,l,b")
@@ -314,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     cls_sub = p.add_subparsers(dest="op", required=True)
     q = cls_sub.add_parser("equal")
     _add_manifold_arg(q)
-    q.add_argument("--class1", type=_parse_json_arg, required=True)
-    q.add_argument("--class2", type=_parse_json_arg, required=True)
+    q.add_argument("--class1", type=_class_arg, required=True)
+    q.add_argument("--class2", type=_class_arg, required=True)
     q.set_defaults(handler=_cmd_classify_equal)
 
     p = sub.add_parser("fiber", help="fiber group and classes over (u, L)")
@@ -324,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kappa value (defaults to the zero vector)")
     p.add_argument("--L", type=_matrix, required=True)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_bounded_int(0), default=None)
     p.set_defaults(handler=_cmd_fiber)
 
     p = sub.add_parser("link", help="numerical linking numbers")
@@ -332,12 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = link_sub.add_parser("tau", help="verify the fiber linking of tau(l, b)")
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--b", type=int, required=True)
-    q.add_argument("--resolution", type=int,
-                   default=linking.DEFAULT_RESOLUTION)
-    q.add_argument("--backend", choices=("auto", "compiled", "python"),
-                   default="auto")
-    q.add_argument("--json", action="store_true",
-                   help="JSON output (the default and only mode)")
+    q.add_argument("--resolution",
+                   type=_bounded_int(1, linking.MAX_RESOLUTION),
+                   default=linking.DEFAULT_RESOLUTION,
+                   help="quadrature resolution, at most "
+                        f"{linking.MAX_RESOLUTION}")
     q.set_defaults(handler=_cmd_link_tau)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")

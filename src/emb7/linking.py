@@ -4,27 +4,22 @@ twisted torus embeddings S^1 x S^3 -> S^7 whose fiber linking realizes the
 lambda invariant.
 
 The degree is evaluated by deterministic tensor-product quadrature over
-Hopf coordinates on each parametrizing 3-sphere; the hot pairwise kernel
-lives in the compiled extension _linkcore when available, with a numpy
-twin in _linkpy selected otherwise.
+Hopf coordinates on each parametrizing 3-sphere.  The pair sum over nodes
+runs in one numpy kernel, `pair_sum`, that reduces the 7x7 determinant of
+every node pair to matrix products over Pluecker coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import _linkpy, quat
-
-try:
-    from . import _linkcore
-except ImportError:
-    _linkcore = None
-
-HAVE_COMPILED = _linkcore is not None
+from . import quat
 
 VOL_S6 = 16.0 * math.pi ** 3 / 15.0
 
@@ -33,6 +28,10 @@ VOL_S6 = 16.0 * math.pi ** 3 / 15.0
 INTEGRAND_SIGN = -1.0
 
 DEFAULT_RESOLUTION = 7
+
+# Largest resolution the command line accepts: hopf_grid(32) has 131,072
+# nodes, and the node arrays grow with the cube of the resolution.
+MAX_RESOLUTION = 32
 
 
 class SeparationError(RuntimeError):
@@ -238,16 +237,87 @@ def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
             np.ascontiguousarray(grid.weights, dtype=np.float64))
 
 
-def _pick_kernel(backend: str):
-    if backend == "auto":
-        return _linkcore if HAVE_COMPILED else _linkpy
-    if backend == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel not available")
-        return _linkcore
-    if backend == "python":
-        return _linkpy
-    raise ValueError(f"unknown backend {backend!r}")
+# Row triples of a 7x3 block, in lexicographic order: the index set of the
+# 35 Pluecker coordinates of a tangent 3-plane in R^7.
+_TRIPLES = np.array(list(combinations(range(7), 3)))
+
+
+@functools.cache
+def _laplace_signs() -> np.ndarray:
+    """S[i, J, K] = sign of the row permutation (i, J, K) when the rows of a
+    7x7 matrix split into a singleton i and two sorted triples J and K,
+    zero when they do not split (140 nonzeros).  Laplace expansion of
+    det[d | X | Y] along its column blocks is sum S[i, J, K] d_i X_J Y_K,
+    where X_J, Y_K are 3x3 minors.  Built on first use and read-only."""
+    index = {tuple(t): k for k, t in enumerate(_TRIPLES.tolist())}
+    signs = np.zeros((7, 35, 35))
+    for i in range(7):
+        rest = [r for r in range(7) if r != i]
+        for J in combinations(rest, 3):
+            K = tuple(r for r in rest if r not in J)
+            perm = (i,) + J + K
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            signs[i, index[J], index[K]] = -1.0 if inversions % 2 else 1.0
+    signs.flags.writeable = False
+    return signs
+
+
+# Scratch memory of one row chunk of the pair kernel (two float64 blocks).
+_CHUNK_BYTES = 1 << 23
+
+
+def _plucker(dF: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates (N, 35) of the frames dF (N, 3, 7): the 3x3
+    minors on the row triples of _TRIPLES."""
+    a, b, c = dF[:, 0], dF[:, 1], dF[:, 2]
+    i, j, k = _TRIPLES.T
+    return (a[:, i] * (b[:, j] * c[:, k] - b[:, k] * c[:, j])
+            - a[:, j] * (b[:, i] * c[:, k] - b[:, k] * c[:, i])
+            + a[:, k] * (b[:, i] * c[:, j] - b[:, j] * c[:, i]))
+
+
+def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
+             fy: np.ndarray, dfy: np.ndarray, wy: np.ndarray) -> float:
+    """sum_{a,b} wx_a wy_b det[D | dF_a | -dH_b] / |D|^7, D = F_a - H_b.
+
+    The determinant is linear in D, so expanding along its column blocks
+    gives det = p_a . w_b - v_a . q_b, where v and w are the Pluecker
+    coordinates of dF_a and -dH_b and p_a, q_b contract them with F_a and
+    H_b through the sign tensor of _laplace_signs.  The whole sum is then
+    the BLAS-shaped wx^T ((A B^T) * r2^(-7/2)) wy with A = [p | v],
+    B = [w | -q] and r2 = |F|^2 + |H|^2 - 2 F H^T.  Row chunks stay within
+    _CHUNK_BYTES and are added in index order, so results are reproducible
+    run to run.
+    """
+    na, nb = len(fx), len(fy)
+    if na == 0 or nb == 0:
+        return 0.0
+    # the integrand sees only differences F_a - H_b; centering both clouds
+    # keeps the expansions of det and r2 from cancelling large terms
+    center = 0.5 * (fx.mean(axis=0) + fy.mean(axis=0))
+    fx = fx - center
+    fy = fy - center
+    S = _laplace_signs()
+    v = _plucker(dfx)
+    w = -_plucker(dfy)
+    p = sum(fx[:, i, None] * (v @ S[i]) for i in range(7))
+    q = sum(fy[:, i, None] * (w @ S[i].T) for i in range(7))
+    A = np.concatenate([p, v], axis=1)
+    B = np.concatenate([w, -q], axis=1)
+    # r2 in one product: [-2F, |F|^2, 1] . [H, 1, |H|^2]
+    RX = np.concatenate([-2.0 * fx, np.sum(fx * fx, axis=1, keepdims=True),
+                         np.ones((na, 1))], axis=1)
+    RY = np.concatenate([fy, np.ones((nb, 1)),
+                         np.sum(fy * fy, axis=1, keepdims=True)], axis=1)
+    rows = max(1, _CHUNK_BYTES // (16 * nb))
+    total = 0.0
+    for a0 in range(0, na, rows):
+        r2 = RX[a0:a0 + rows] @ RY.T
+        g = A[a0:a0 + rows] @ B.T
+        np.power(r2, -3.5, out=r2)
+        g *= r2
+        total += float(wx[a0:a0 + rows] @ (g @ wy))
+    return total
 
 
 @dataclass(frozen=True)
@@ -257,12 +327,10 @@ class LinkResult:
     residual: float
     separation: float
     resolution: int
-    backend: str
 
 
 def linking_number(X: ParamCycle, Y: ParamCycle,
                    resolution: int = DEFAULT_RESOLUTION,
-                   backend: str = "auto",
                    require_convergence: bool = True,
                    separation: Optional[float] = None) -> LinkResult:
     """Linking number of two disjoint 3-cycles as a certified rounding of
@@ -276,11 +344,10 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     if separation is not None and separation <= 0:
         raise SeparationError("caller-supplied separation is not positive")
     sep = separation if separation is not None else certify_separation(X, Y)
-    kernel = _pick_kernel(backend)
     grid = hopf_grid(resolution)
     fx, dfx, wx = _cycle_nodes(X, grid)
     fy, dfy, wy = _cycle_nodes(Y, grid)
-    raw = kernel.pair_sum(fx, dfx, wx, fy, dfy, wy)
+    raw = pair_sum(fx, dfx, wx, fy, dfy, wy)
     estimate = (INTEGRAND_SIGN * X.orientation * Y.orientation
                 * raw / VOL_S6)
     value = int(round(estimate))
@@ -289,9 +356,8 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
         raise UnconvergedError(
             f"estimate {estimate:.6f} is not near an integer; "
             f"raise the resolution (currently {resolution})")
-    name = "compiled" if kernel is _linkcore else "python"
     return LinkResult(estimate=estimate, value=value, residual=residual,
-                      separation=sep, resolution=resolution, backend=name)
+                      separation=sep, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +501,10 @@ class TauVerification:
     residual: float
     passed: bool
     resolution: int
-    backend: str
 
 
 def verify_lambda_tau(l: int, b: int,
-                      resolution: int = DEFAULT_RESOLUTION,
-                      backend: str = "auto") -> TauVerification:
+                      resolution: int = DEFAULT_RESOLUTION) -> TauVerification:
     """Check that the theta = 0 and theta = pi fibers of the (l, b) torus
     link exactly l times.
 
@@ -451,9 +515,8 @@ def verify_lambda_tau(l: int, b: int,
     emb = tau_embedding(l, b)
     sep = tau_fiber_separation(l)
     res = linking_number(emb.fiber(+1), emb.fiber(-1),
-                         resolution=resolution, backend=backend,
-                         separation=sep)
+                         resolution=resolution, separation=sep)
     passed = res.value == l and res.residual < 0.1
     return TauVerification(l=l, b=b, estimate=res.estimate, value=res.value,
                            residual=res.residual, passed=passed,
-                           resolution=resolution, backend=res.backend)
+                           resolution=resolution)

@@ -155,15 +155,25 @@ def to_json(data: ManifoldData) -> dict:
     return obj
 
 
+_JSON_FIELDS = ("b1", "b2", "Q", "P", "T", "w2", "sigma")
+
+
 def from_json(obj: dict) -> ManifoldData:
-    b1 = int(obj["b1"])
-    b2 = int(obj["b2"])
+    """Decode `to_json` output; raises ValueError when the object lacks a
+    field or a field does not decode."""
+    if not isinstance(obj, dict):
+        raise ValueError("manifold data must be a JSON object")
+    missing = [k for k in _JSON_FIELDS if k not in obj]
+    if missing:
+        raise ValueError(f"manifold data lacks {', '.join(missing)}")
+    b1 = jsonio.decode_int(obj["b1"])
+    b2 = jsonio.decode_int(obj["b2"])
     return ManifoldData(
         b1=b1, b2=b2, b3=b1,
         Q=jsonio.decode_matrix(obj["Q"], cols=b2),
         P=jsonio.decode_matrix(obj["P"], cols=b1),
         T=jsonio.decode_tensor(obj["T"], slices=b2, cols=b1),
-        w2=tuple(int(x) for x in obj["w2"]),
+        w2=jsonio.decode_vector(obj["w2"]),
         sigma=jsonio.decode_int(obj["sigma"]),
         name=obj.get("name"),
     )

@@ -40,10 +40,6 @@ def frame(x: np.ndarray) -> np.ndarray:
     return np.stack([qmul(x, QI), qmul(x, QJ), qmul(x, QK)], axis=-2)
 
 
-def jet(value: np.ndarray, dvalue: np.ndarray) -> tuple:
-    return (value, dvalue)
-
-
 def jet_mul(a: tuple, b: tuple) -> tuple:
     va, da = a
     vb, db = b

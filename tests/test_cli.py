@@ -45,6 +45,48 @@ class TestExitCodes:
         assert payload["violations"]
 
 
+    def test_manifold_missing_fields(self, capsys, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text('{"b1": 1, "b2": 0}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert "Q" in payload["violations"][0]
+        code, payload = run_json(capsys, "fiber", "--manifold", str(path),
+                                 "--L", "[[0]]")
+        assert code == 1 and "error" in payload
+
+    def test_class_not_an_object_is_usage_error(self, capsys):
+        for argv in (("move", "apply", "--manifold", "s1xs3",
+                      "--class", "[1]", "--move", "1,0,5"),
+                     ("classify", "equal", "--manifold", "s1xs3",
+                      "--class1", "[1]",
+                      "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'),
+                     ("classify", "equal", "--manifold", "s1xs3",
+                      "--class1", '{"u": []}',
+                      "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}')):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "usage:" in err
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "fiber", "--manifold", "s1xs3",
+                             "--L", "[[0]]", "--enumerate", "--cap", "-1")
+        assert code == 2 and out == "" and "usage:" in err
+
+    def test_resolution_out_of_range_is_usage_error(self, capsys):
+        for res in ("0", "33", "1000000"):
+            code, out, err = run(capsys, "link", "tau", "--l", "1",
+                                 "--b", "0", "--resolution", res)
+            assert code == 2 and out == "" and "usage:" in err
+
+    def test_removed_link_flags_are_usage_errors(self, capsys):
+        for flag in (("--backend", "python"), ("--json",)):
+            code, out, err = run(capsys, "link", "tau", "--l", "1",
+                                 "--b", "0", "--resolution", "3", *flag)
+            assert code == 2 and out == "" and "usage:" in err
+
+
 class TestGoldenOutputs:
     def test_tau_equal(self, capsys):
         code, out, _ = run(capsys, "tau", "equal", "2", "1", "2", "5")

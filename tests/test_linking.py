@@ -1,10 +1,48 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import emb7.linking as lk
 import emb7.quat as quat
+
+
+def reference_pair_sum(fx, dfx, wx, fy, dfy, wy):
+    """Direct evaluation of the degree pair sum: one 7x7 determinant per
+    node pair,
+
+        sum_{a,b} w_a w_b det[D | dF_a | -dH_b] / |D|^7,   D = F_a - H_b.
+
+    Small-n oracle for the matrix-product kernel lk.pair_sum."""
+    total = 0.0
+    for a in range(fx.shape[0]):
+        diff = fx[a, None, :] - fy                          # (nb, 7)
+        mats = np.empty((fy.shape[0], 7, 7))
+        mats[..., 0] = diff
+        for j in range(3):
+            mats[..., 1 + j] = dfx[a, j, :]
+            mats[..., 4 + j] = -dfy[:, j, :]
+        dets = np.linalg.det(mats)
+        r2 = np.einsum("bi,bi->b", diff, diff)
+        total += wx[a] * float(np.sum(wy * dets / (r2 ** 3 * np.sqrt(r2))))
+    return total
+
+
+def tau_nodes(l, b, n):
+    emb = lk.tau_embedding(l, b)
+    grid = lk.hopf_grid(n)
+    return (lk._cycle_nodes(emb.fiber(+1), grid)
+            + lk._cycle_nodes(emb.fiber(-1), grid))
+
+
+def assert_matches_reference(nodes):
+    ref = reference_pair_sum(*nodes)
+    got = lk.pair_sum(*nodes)
+    # relative to the sum itself, or to one unit of linking when it is ~0
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), lk.VOL_S6)
 
 
 def round_sphere(center, radius=1.0):
@@ -137,19 +175,6 @@ class TestLinkingNumber:
                                 separation=lk.tau_fiber_separation(2))
         assert res.value == -2
 
-    def test_backends_agree(self):
-        if not lk.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
-        emb = lk.tau_embedding(2, 0)
-        sep = lk.tau_fiber_separation(2)
-        a = lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
-                              separation=sep, backend="compiled",
-                              require_convergence=False)
-        b = lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
-                              separation=sep, backend="python",
-                              require_convergence=False)
-        assert abs(a.estimate - b.estimate) < 1e-9
-
     def test_deterministic(self):
         emb = lk.tau_embedding(1, 0)
         sep = lk.tau_fiber_separation(1)
@@ -221,6 +246,47 @@ class TestLinkingNumber:
         with pytest.raises(lk.UnconvergedError):
             lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=3,
                               separation=lk.tau_fiber_separation(3))
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("l, b, n, shift", [
+        *((l, 0, n, 0.0) for n in (4, 5) for l in range(-3, 4)),
+        (2, 1, 7, 0.0),
+        # the integrand sees only differences F_a - H_b, so a common shift
+        # must not cost the expanded kernel its precision
+        (2, 1, 5, 100.0),
+    ])
+    def test_matches_reference(self, l, b, n, shift):
+        fx, dfx, wx, fy, dfy, wy = tau_nodes(l, b, n)
+        assert_matches_reference((fx + shift, dfx, wx, fy + shift, dfy, wy))
+
+    def test_partial_last_chunk(self, monkeypatch):
+        nodes = tau_nodes(2, 1, 3)
+        na, nb = len(nodes[0]), len(nodes[3])
+        # five rows per chunk, so the last chunk holds na % 5 != 0 rows
+        monkeypatch.setattr(lk, "_CHUNK_BYTES", 16 * nb * 5)
+        assert na % 5
+        assert_matches_reference(nodes)
+
+    def test_empty_side(self):
+        fx, dfx, wx, fy, dfy, wy = tau_nodes(1, 0, 3)
+        assert lk.pair_sum(fx[:0], dfx[:0], wx[:0], fy, dfy, wy) == 0.0
+        assert lk.pair_sum(fx, dfx, wx, fy[:0], dfy[:0], wy[:0]) == 0.0
+
+    def test_blas_threads_do_not_change_result(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lk.__file__)))
+        code = ("import emb7.linking as lk; "
+                "print(repr(lk.verify_lambda_tau(2, 1).estimate))")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestVerify:
