@@ -90,6 +90,7 @@ def fiber_size(data: ManifoldData, u: Sequence[int],
 class FiberEnumeration:
     representatives: tuple  # canonical coset normal forms
     truncated: bool
+    fiber_group: KGroup  # the group the representatives live in
 
 
 def _value_at(d: int, idx: int) -> int:
@@ -108,7 +109,8 @@ def enumerate_fiber(data: ManifoldData, u: Sequence[int], L: IntMatrix,
     coordinates.
 
     Complete when the fiber is finite and within cap; an infinite fiber
-    needs a cap and the result is flagged truncated.
+    needs a cap and the result is flagged truncated.  The result carries
+    the fiber group, so callers need not build it a second time.
     """
     from itertools import product
 
@@ -142,4 +144,5 @@ def enumerate_fiber(data: ManifoldData, u: Sequence[int], L: IntMatrix,
                     if len(reps) >= limit:
                         break
     truncated = size is None or limit < size
-    return FiberEnumeration(representatives=tuple(reps), truncated=truncated)
+    return FiberEnumeration(representatives=tuple(reps), truncated=truncated,
+                            fiber_group=kg)

@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON-ish arguments, prints a single JSON object on
 stdout, and exits 0 on success, 1 on a domain failure (invalid data,
-inadmissible input, unconverged integral), or 2 on a usage error.  All
+inadmissible input, unconverged integral, a failed linking check, memory
+exhausted), or 2 on a usage error.  All
 exact integers in payloads are decimal strings; the EMB7_ENUM_CAP
 environment variable overrides the enumeration guard and nothing else is
 read from the environment.
@@ -211,15 +212,16 @@ def _cmd_classify_equal(args):
 def _cmd_fiber(args):
     data = _load_manifold(args.manifold)
     u = args.u if args.u is not None else (0,) * data.b2
-    kg = classify.fiber_group(data, u, args.L)
-    factors = [str(f) for f in kg.group.invariant_factors]
+    if args.enumerate:
+        enum = classify.enumerate_fiber(data, u, args.L, cap=args.cap)
+        kg = enum.fiber_group
+    else:
+        kg = classify.fiber_group(data, u, args.L)
     payload = {
-        "factors": factors,
-        "group": {"factors": factors},
+        "factors": [str(f) for f in kg.group.invariant_factors],
         "size": _size_str(kg.size()),
     }
     if args.enumerate:
-        enum = classify.enumerate_fiber(data, u, args.L, cap=args.cap)
         payload["classes"] = [jsonio.encode_vector(r)
                               for r in enum.representatives]
         payload["truncated"] = enum.truncated
@@ -235,7 +237,7 @@ def _cmd_link_tau(args):
         "value": report.value,
         "residual": report.residual,
         "pass": report.passed,
-    }, 0
+    }, 0 if report.passed else 1
 
 
 def _cmd_snf(args):
@@ -360,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_bounded_int(1, linking.MAX_RESOLUTION),
                    default=linking.DEFAULT_RESOLUTION,
                    help="quadrature resolution, at most "
-                        f"{linking.MAX_RESOLUTION}")
+                        f"{linking.MAX_RESOLUTION}; the time grows as "
+                        "about its sixth power")
     q.set_defaults(handler=_cmd_link_tau)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
     except (ValueError, classify.BetaUnknownError, linking.SeparationError,
             linking.UnconvergedError) as exc:
         _emit({"error": str(exc)})
+        return 1
+    except MemoryError:
+        _emit({"error": "out of memory"})
         return 1
     _emit(payload)
     return code

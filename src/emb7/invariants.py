@@ -7,16 +7,33 @@ div(u)*H1).  This module provides the admissibility predicate and box
 enumeration for u, the u-symmetry condition tying u and L together, the
 adjoint and the K-group, and the parity criteria derived from L (regular
 homotopy, the mod-2 diagonal class W, the compression necessary condition).
+
+Two shortcuts keep the fiber computations small:
+
+- The K-group comes from the Smith form of the b1 x b3 adjoint alone, not of
+  the b1 x (b3 + b1) relation matrix [2*Lambda | d*I].  With
+  U Lambda V = S, the invertible U carries the relations onto the columns of
+  [2S | d*I] (V and U^-1 only recombine columns), so K is the sum of the
+  cyclic groups Z/gcd(2 s_i, d), with the diagonal s padded by zeros to
+  length b1, and U is the projection onto factor coordinates.  These
+  factors already form a divisibility chain with zeros last, so they are
+  the invariant factors of the relations.
+- Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
+  one parity class per axis, which yields the admissible values in the
+  same lexicographic order as a scan of the whole box; the box volume is
+  still what the enumeration cap guards.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact import (AbelianGroupPresentation, IntMatrix, cokernel,
-                    inverse_unimodular, solve_linear, vector_gcd)
+from . import exact
+from .exact import (AbelianGroupPresentation, IntMatrix, solve_linear,
+                    vector_gcd)
 from .manifolds import ManifoldData
 
 # A kappa value is a plain integer vector in H2 coordinates; a lambda form
@@ -64,7 +81,8 @@ def enumerate_kappa(data: ManifoldData, bound: int,
     lexicographically.
 
     The admissible set can be infinite for indefinite Q, so only a box is
-    searched; the box volume is rejected above `cap`.
+    searched; the box volume is rejected above `cap`.  Within the box only
+    the points with u = w2 (mod 2) are tested.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -72,9 +90,8 @@ def enumerate_kappa(data: ManifoldData, bound: int,
     if width ** data.b2 > cap:
         raise ValueError(
             f"enumeration box {width}^{data.b2} exceeds cap {cap}")
-    values = range(-bound, bound + 1)
-    return [u for u in product(values, repeat=data.b2)
-            if is_kappa_admissible(data, u)]
+    axes = [range(-bound + (bound + w) % 2, bound + 1, 2) for w in data.w2]
+    return [u for u in product(*axes) if is_kappa_admissible(data, u)]
 
 
 def is_symmetric_pair(data: ManifoldData, u: Sequence[int],
@@ -105,17 +122,30 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
     Lambda with L = P @ Lambda."""
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
-    return inverse_unimodular(data.P) @ L
+    return data.p_inverse @ L
 
 
 def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
-    """Quotient of H1 by the columns of 2*lam together with d*identity."""
+    """Quotient of H1 by the columns of 2*lam together with d*identity.
+
+    Only lam is put in Smith form (see the module docstring); `relations`
+    still records the full matrix [2*lam | d*I].
+    """
     b1 = lam.rows
     relations = IntMatrix(
         [[2 * lam[i, j] for j in range(lam.cols)] +
          [d if i == j else 0 for j in range(b1)] for i in range(b1)],
         cols=lam.cols + b1)
-    return cokernel(b1, relations)
+    # looked up on the module so that a wrapper installed on
+    # exact.smith_normal_form at run time also sees this call
+    res = exact.smith_normal_form(lam)
+    s = res.diagonal() + (0,) * (b1 - min(lam.rows, lam.cols))
+    return AbelianGroupPresentation(
+        ambient_rank=b1,
+        relations=relations,
+        invariant_factors=tuple(math.gcd(2 * si, d) for si in s),
+        projection=res.U,
+    )
 
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:

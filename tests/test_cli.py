@@ -80,6 +80,26 @@ class TestExitCodes:
                                  "--b", "0", "--resolution", res)
             assert code == 2 and out == "" and "usage:" in err
 
+    def test_unconverged_link_is_exit_one(self, capsys):
+        # resolution 2 rounds tau(2, 0) to 3 with residual 0.21: the check
+        # fails, and the payload still reports what was measured
+        code, payload = run_json(capsys, "link", "tau", "--l", "2",
+                                 "--b", "0", "--resolution", "2")
+        assert code == 1
+        assert payload["pass"] is False
+        assert set(payload) == {"estimate", "value", "residual", "pass"}
+
+    def test_memory_error_is_domain_failure(self, capsys, monkeypatch):
+        import emb7.cli
+
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(emb7.cli, "_cmd_snf", exhausted)
+        code, out, err = run(capsys, "snf", "--matrix", "[[1]]")
+        assert code == 1 and "Traceback" not in err
+        assert "error" in json.loads(out)
+
     def test_removed_link_flags_are_usage_errors(self, capsys):
         for flag in (("--backend", "python"), ("--json",)):
             code, out, err = run(capsys, "link", "tau", "--l", "1",
@@ -97,9 +117,7 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "fiber", "--manifold", "s1xs3",
                            "--L", "[[3]]")
         assert code == 0
-        assert json.loads(out) == {"factors": ["6"],
-                                   "group": {"factors": ["6"]},
-                                   "size": "6"}
+        assert json.loads(out) == {"factors": ["6"], "size": "6"}
 
     def test_fiber_infinite(self, capsys):
         code, payload = run_json(capsys, "fiber", "--manifold", "s1xs3",
@@ -217,6 +235,24 @@ class TestCommands:
         assert code == 0
         assert payload["classes"] == [["0"], ["1"], ["-1"], ["2"], ["-2"]]
         assert payload["truncated"] is True
+
+    def test_fiber_builds_one_group(self, capsys, monkeypatch):
+        import emb7.classify
+        real = emb7.classify.k_group
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(emb7.classify, "k_group", counting)
+        for extra in ((), ("--enumerate",)):
+            calls.clear()
+            code, payload = run_json(capsys, "fiber", "--manifold", "t2xs2",
+                                     "--u", "[2,0]", "--L", "[[0,0],[2,0]]",
+                                     *extra)
+            assert code == 0 and payload["factors"] == ["2", "2"]
+            assert len(calls) == 1
 
     def test_link_tau(self, capsys):
         code, payload = run_json(capsys, "link", "tau", "--l", "1",

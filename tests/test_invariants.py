@@ -1,16 +1,20 @@
 import dataclasses
+from itertools import product
 
 import pytest
 
-from conftest import (basis_change, free_h1_manifold, random_form_manifold,
-                      random_symmetric, random_unimodular)
-from emb7.exact import IntMatrix, cokernel
+import emb7.invariants
+from conftest import (basis_change, direct_sum, free_h1_manifold,
+                      random_form_manifold, random_symmetric,
+                      random_unimodular)
+from emb7.classify import classes_equal, embedding_class
+from emb7.exact import IntMatrix, cokernel, coset_normal_form
 from emb7.manifolds import builtin
 from emb7.invariants import (base_lambda, compression_obstruction,
                              divisibility, enumerate_kappa,
                              is_kappa_admissible, is_symmetric_pair, k_group,
-                             lambda_adjoint, regular_homotopy_equivalent,
-                             whitney_w)
+                             k_group_presentation, lambda_adjoint,
+                             regular_homotopy_equivalent, whitney_w)
 
 
 class TestDivisibility:
@@ -72,6 +76,38 @@ class TestEnumerateKappa:
         data = builtin("s2xs2")
         assert enumerate_kappa(data, 3, cap=10 ** 9) == \
             enumerate_kappa(data, 3)
+
+    def test_odd_w2_at_bound_zero(self):
+        assert enumerate_kappa(builtin("cp2"), 0) == []
+
+    def test_cap_guards_the_box_not_the_sublattice(self):
+        # s2xs2 at bound 2: a 25-point box holding 9 even points
+        with pytest.raises(ValueError):
+            enumerate_kappa(builtin("s2xs2"), 2, cap=24)
+        # cp2 at bound 1: a 3-point box holding the 2 odd points
+        with pytest.raises(ValueError):
+            enumerate_kappa(builtin("cp2"), 1, cap=2)
+        assert enumerate_kappa(builtin("cp2"), 1, cap=3) == [(-1,), (1,)]
+
+    def test_walks_only_the_w2_sublattice(self, monkeypatch):
+        data = direct_sum(builtin("cp2"), builtin("s2xs2"))  # w2 = (1, 0, 0)
+        admissible = is_kappa_admissible
+        tested = []
+
+        def counting(data, u):
+            tested.append(tuple(u))
+            return admissible(data, u)
+
+        monkeypatch.setattr(emb7.invariants, "is_kappa_admissible", counting)
+        for bound in range(4):
+            box = [u for u in product(range(-bound, bound + 1), repeat=3)
+                   if admissible(data, u)]
+            tested.clear()
+            assert enumerate_kappa(data, bound) == box
+            odd, even = (bound + 1) // 2 * 2, bound // 2 * 2 + 1
+            assert len(tested) == odd * even ** 2
+            assert all((ui - wi) % 2 == 0
+                       for u in tested for ui, wi in zip(u, data.w2))
 
 
 class TestSymmetricPair:
@@ -176,6 +212,82 @@ class TestKGroup:
             u2 = inverse_unimodular(m2).apply(u)
             L2 = a.T @ L @ a
             assert k_group(changed, u2, L2).group.invariant_factors == factors
+
+
+def reference_k_group_presentation(lam: IntMatrix, d: int):
+    """The cokernel of the whole relation matrix [2*lam | d*I]: the
+    reference for the route through the Smith form of lam alone."""
+    b1 = lam.rows
+    relations = IntMatrix(
+        [[2 * lam[i, j] for j in range(lam.cols)] +
+         [d if i == j else 0 for j in range(b1)] for i in range(b1)],
+        cols=lam.cols + b1)
+    return cokernel(b1, relations)
+
+
+def random_adjoint(rng, b1: int, b3: int) -> IntMatrix:
+    """A random b1 x b3 matrix whose rows are dependent a third of the
+    time (a multiple of another row, or zero)."""
+    rows = [[rng.randint(-9, 9) for _ in range(b3)] for _ in range(b1)]
+    if b1 and rng.random() < 1 / 3:
+        i, j = rng.randrange(b1), rng.randrange(b1)
+        c = rng.randint(-3, 3) if i != j else 0
+        rows[i] = [c * x for x in rows[j]]
+    return IntMatrix(rows, cols=b3)
+
+
+def random_presentation_pairs(rng, count: int):
+    """(lam, d) pairs with b1, b3 in [0, 5] and d = 0 a third of the time,
+    plus the edge shapes with an empty side and the zero matrix."""
+    edges = [(IntMatrix.zeros(0, 3), 4), (IntMatrix.zeros(3, 0), 0),
+             (IntMatrix.zeros(3, 0), 6), (IntMatrix.zeros(2, 2), 0),
+             (IntMatrix.zeros(0, 0), 0)]
+    randoms = [(random_adjoint(rng, rng.randint(0, 5), rng.randint(0, 5)),
+                rng.choice((0, rng.randint(1, 12), rng.randint(1, 12))))
+               for _ in range(count)]
+    return edges + randoms
+
+
+class TestKGroupOracle:
+    def test_factors_match_full_cokernel(self, rng):
+        for lam, d in random_presentation_pairs(rng, 400):
+            G = k_group_presentation(lam, d)
+            ref = reference_k_group_presentation(lam, d)
+            assert G.invariant_factors == ref.invariant_factors, (lam, d)
+            assert G.relations == ref.relations
+            assert G.ambient_rank == ref.ambient_rank == lam.rows
+
+    def test_coset_decisions_match(self, rng):
+        for lam, d in random_presentation_pairs(rng, 200):
+            b1, b3 = lam.shape
+            G = k_group_presentation(lam, d)
+            ref = reference_k_group_presentation(lam, d)
+            for _ in range(5):
+                beta = [rng.randint(-20, 20) for _ in range(b1)]
+                c = [rng.randint(-4, 4) for _ in range(b3)]
+                e = [rng.randint(-4, 4) for _ in range(b1)]
+                shifted = [x + 2 * y + d * z for x, y, z
+                           in zip(beta, lam.apply(c), e)]
+                assert G.normal_form(beta) == G.normal_form(shifted)
+                other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
+                assert (G.normal_form(beta) == G.normal_form(other)) == \
+                    (ref.normal_form(beta) == ref.normal_form(other))
+
+    def test_classes_equal_matches_reference(self, rng):
+        data = direct_sum(builtin("t2xs2"), builtin("s1xs3"))
+        for u in enumerate_kappa(data, 2):
+            for _ in range(5):
+                L = base_lambda(data, u) + random_symmetric(rng, data.b3)
+                ref = reference_k_group_presentation(
+                    lambda_adjoint(data, L), divisibility(u))
+                beta = [rng.randint(-9, 9) for _ in range(data.b1)]
+                for _ in range(4):
+                    other = [rng.randint(-9, 9) for _ in range(data.b1)]
+                    c1 = embedding_class(data, u, L, beta)
+                    c2 = embedding_class(data, u, L, other)
+                    assert classes_equal(data, c1, c2) == \
+                        (coset_normal_form(ref, beta)
+                         == coset_normal_form(ref, other))
 
 
 class TestWhitney:
