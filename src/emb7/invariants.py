@@ -32,8 +32,8 @@ from itertools import product
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import (AbelianGroupPresentation, IntMatrix, solve_linear,
-                    vector_gcd)
+from .exact import (AbelianGroupPresentation, IntMatrix, inverse_unimodular,
+                    solve_linear, vector_gcd)
 from .manifolds import ManifoldData
 
 # A kappa value is a plain integer vector in H2 coordinates; a lambda form
@@ -122,7 +122,7 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
     Lambda with L = P @ Lambda."""
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
-    return data.p_inverse @ L
+    return inverse_unimodular(data.P) @ L
 
 
 def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":

@@ -10,11 +10,10 @@ signature.  No chain complexes, no triangulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import jsonio
-from .exact import IntMatrix, inverse_unimodular, signature
+from .exact import IntMatrix, signature
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,6 @@ class ManifoldData:
     w2: tuple  # b2 bits
     sigma: int
     name: Optional[str] = None
-
-    @cached_property
-    def p_inverse(self) -> IntMatrix:
-        """Exact inverse of the duality pairing P, computed on first use
-        and then kept with this data; raises ValueError when P is not
-        unimodular."""
-        return inverse_unimodular(self.P)
 
     def triple_contraction(self, u: Sequence[int]) -> IntMatrix:
         """The antisymmetric matrix sum_i u_i * T[i] on H3 x H3."""

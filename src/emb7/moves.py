@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .classify import EmbeddingClass
-from .exact import IntMatrix
+from .exact import IntMatrix, inverse_unimodular
 from .manifolds import ManifoldData
 
 
@@ -85,7 +85,8 @@ def decompose_symmetric_form(data: ManifoldData, m: IntMatrix) -> list:
         raise ValueError("form is not symmetric")
     if m.shape != (data.b3, data.b3):
         raise ValueError(f"form has shape {m.shape}, expected square of size {data.b3}")
-    dual = [data.p_inverse.column(i) for i in range(data.b1)]
+    pinv = inverse_unimodular(data.P)
+    dual = [pinv.column(i) for i in range(data.b1)]
     coeffs = {}
 
     def add(direction, l):
