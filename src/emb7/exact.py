@@ -58,11 +58,6 @@ class IntMatrix:
         return cls([[entries[i] if (i == j and i < len(entries)) else 0
                      for j in range(c)] for i in range(r)], cols=c)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        return cls([[int(col[i]) for col in columns] for i in range(rows)],
-                   cols=len(columns))
-
     def __getitem__(self, key) -> int:
         i, j = key
         return self.data[i][j]
@@ -108,9 +103,6 @@ class IntMatrix:
         self._check_same_shape(other)
         return IntMatrix([[a - b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.data, other.data)], cols=self.cols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.data], cols=self.cols)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix([[c * a for a in r] for r in self.data], cols=self.cols)
@@ -314,9 +306,6 @@ class AbelianGroupPresentation:
                 return None
             total *= d
         return total
-
-    def is_finite(self) -> bool:
-        return self.order() is not None
 
     def normal_form(self, v: Sequence[int]) -> tuple:
         return coset_normal_form(self, v)

@@ -20,18 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import quat
+from .resolution import DEFAULT_RESOLUTION
 
 VOL_S6 = 16.0 * math.pi ** 3 / 15.0
 
 # Global sign of the degree integrand.  Calibrated once against the (1, 0)
 # twisted torus (which must link +1) and frozen; see test suite.
 INTEGRAND_SIGN = -1.0
-
-DEFAULT_RESOLUTION = 7
-
-# Largest resolution the command line accepts: hopf_grid(32) has 131,072
-# nodes, and the node arrays grow with the cube of the resolution.
-MAX_RESOLUTION = 32
 
 
 class SeparationError(RuntimeError):

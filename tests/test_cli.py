@@ -1,6 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
-from emb7.cli import main
+import pytest
+
+import emb7
+from emb7.cli import COMMANDS, build_parser, main
 from emb7.manifolds import builtin, to_json
 
 
@@ -276,3 +283,149 @@ class TestCommands:
         code, _ = run_json(capsys, "kappa-enum", "--manifold", "s2xs2",
                            "--bound", "2")
         assert code == 0
+
+
+# A complete argv after each command path, parsed but never run.
+PARSE_ARGV = {
+    ("validate",): ["data.json"],
+    ("kappa-check",): ["--manifold", "cp2", "--u", "[1]"],
+    ("kappa-enum",): ["--manifold", "cp2", "--bound", "1"],
+    ("sym-check",): ["--manifold", "cp2", "--u", "[1]", "--L", "[]"],
+    ("k-group",): ["--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
+    ("whitney",): ["--manifold", "s1xs3", "--L", "[[3]]"],
+    ("reghom",): ["--L0", "[[1]]", "--L1", "[[3]]"],
+    ("compress-check",): ["--u", "[0]", "--L", "[[0]]"],
+    ("move", "apply"): ["--manifold", "s1xs3", "--class",
+                        '{"u": [], "L": [["0"]]}', "--move", "1,0,5"],
+    ("decompose",): ["--manifold", "t2xs2", "--form", "[[2,1],[1,0]]"],
+    ("tau", "normal-form"): ["3", "7"],
+    ("tau", "equal"): ["2", "1", "2", "5"],
+    ("tau", "compose"): ["1", "0", "0", "1"],
+    ("classify", "equal"): ["--manifold", "s1xs3", "--class1",
+                            '{"u": [], "L": [["3"]]}', "--class2",
+                            '{"u": [], "L": [["3"]]}'],
+    ("fiber",): ["--manifold", "s1xs3", "--L", "[[2]]"],
+    ("link", "tau"): ["--l", "1", "--b", "0"],
+    ("snf",): ["--matrix", "[[1]]"],
+}
+
+
+def command_paths(commands=COMMANDS, prefix=()):
+    for name, _, add in commands:
+        path = prefix + (name,)
+        if callable(add):
+            yield path
+        else:
+            yield path  # the group alone
+            yield from command_paths(add, path)
+
+
+def parse_outcome(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+        raise SystemExit("parsed")
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def commands_of(parser):
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+class TestParserPerCommand:
+    """`build_parser(argv)` adds only the command argv names; for every
+    argv it must answer exactly as the parser with every command does."""
+
+    def test_table_covers_every_leaf(self):
+        leaves = {p for p in command_paths() if p in PARSE_ARGV}
+        assert leaves == set(PARSE_ARGV)
+
+    @pytest.mark.parametrize("path", list(command_paths()), ids=" ".join)
+    def test_same_output_as_full_parser(self, capsys, monkeypatch, path):
+        monkeypatch.setenv("COLUMNS", "80")
+        complete = list(path) + PARSE_ARGV.get(path, [])
+        cases = [list(path) + ["-h"],          # help
+                 complete + ["--frob"],        # an unrecognised argument
+                 list(path)]                   # a required argument missing
+        for argv in cases:
+            one = build_parser(argv)
+            assert commands_of(one) == [path[0]]
+            got = parse_outcome(capsys, one, argv)
+            want = parse_outcome(capsys, build_parser(), argv)
+            assert got == want, argv
+            assert got[0] in (0, 2)
+
+    def test_complete_argv_parses_alike(self):
+        for path, rest in PARSE_ARGV.items():
+            argv = list(path) + rest
+            got = vars(build_parser(argv).parse_args(argv))
+            want = vars(build_parser().parse_args(argv))
+            assert got == want
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        ([], 2, "err", "the following arguments are required: command"),
+        (["fib"], 2, "err", "argument command: invalid choice: 'fib'"),
+        (["-h", "fiber"], 0, "out", "{validate,kappa-check,"),
+    ])
+    def test_no_command_named_builds_every_command(self, capsys, monkeypatch,
+                                                   argv, code, stream, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser(argv)
+        assert commands_of(parser) == [c[0] for c in COMMANDS]
+        got = parse_outcome(capsys, parser, argv)
+        assert got == parse_outcome(capsys, build_parser(), argv)
+        assert got[0] == code
+        assert text in (got[1] if stream == "out" else got[2])
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == got[1:]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["emb7", "tau", "equal",
+                                          "2", "1", "2", "5"])
+        assert main() == 0
+        assert capsys.readouterr().out == '{"equal": true}\n'
+
+
+class TestNumpyOnlyForLinkTau:
+    def test_exact_commands_load_no_numpy(self):
+        calls = [
+            ["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
+            ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
+            ["classify", "equal", "--manifold", "s1xs3",
+             "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
+             "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
+            ["kappa-enum", "--manifold", "s2xs2", "--bound", "2"],
+            ["snf", "--matrix", "[[2,4],[6,8]]"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import emb7.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert emb7.cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                             capture_output=True, text=True, env=env,
+                             timeout=60, check=True)
+        assert json.loads(out.stdout) == [False] * (len(calls) + 1)
+
+    @pytest.mark.parametrize("error", ["UnconvergedError", "SeparationError"])
+    def test_link_errors_are_domain_failures(self, capsys, monkeypatch, error):
+        import emb7.linking
+
+        def failing(*args, **kwargs):
+            raise getattr(emb7.linking, error)("no certificate")
+
+        monkeypatch.setattr(emb7.linking, "verify_lambda_tau", failing)
+        code, out, err = run(capsys, "link", "tau", "--l", "1", "--b", "0",
+                             "--resolution", "3")
+        assert code == 1 and "Traceback" not in err
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "no certificate"}
