@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
@@ -103,9 +102,6 @@ class IntMatrix:
         self._check_same_shape(other)
         return IntMatrix([[a - b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self.data, other.data)], cols=self.cols)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in r] for r in self.data], cols=self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -307,9 +303,6 @@ class AbelianGroupPresentation:
             total *= d
         return total
 
-    def normal_form(self, v: Sequence[int]) -> tuple:
-        return coset_normal_form(self, v)
-
 
 def cokernel(ambient_rank: int, relations: IntMatrix) -> AbelianGroupPresentation:
     """Present Z^ambient_rank modulo the column span of `relations`."""
@@ -411,47 +404,54 @@ def inverse_unimodular(P: IntMatrix) -> IntMatrix:
     return res.V @ res.U
 
 
-def signature(M: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix, computed exactly.
+def det_signature(M: IntMatrix) -> tuple:
+    """Determinant and signature of a symmetric integer matrix, in one
+    fraction-free pass.
 
-    Congruence-diagonalizes over the rationals (Sylvester's law keeps the
-    signature invariant) and counts diagonal signs.
+    Bareiss elimination with symmetric swaps keeps every entry an integer
+    minor: the k-th pivot p_k is the determinant of the leading k x k block,
+    so p_k / p_{k-1} is the k-th diagonal entry of a congruent diagonal form
+    (Sylvester's law keeps the signature invariant), and the last pivot is
+    the determinant.  A zero remaining diagonal is repaired by adding a row
+    and column with a nonzero off-diagonal entry; a zero row is a null
+    direction, skipped, and makes the determinant 0.
     """
     if not M.is_symmetric():
         raise ValueError("signature of a non-symmetric matrix")
     n = M.rows
-    a = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    pos = neg = 0
+    a = [list(r) for r in M.data]
+    prev, sig, null = 1, 0, False
     for k in range(n):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
             if swap is not None:
                 a[k], a[swap] = a[swap], a[k]
                 for row in a:
                     row[k], row[swap] = row[swap], row[k]
             else:
-                other = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                other = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if other is None:
-                    continue  # zero row: null direction
-                for j in range(n):
+                    null = True
+                    continue
+                for j in range(k, n):
                     a[k][j] += a[other][j]
-                for i in range(n):
+                for i in range(k, n):
                     a[i][k] += a[i][other]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        # symmetric Schur complement: congruence, so signature is preserved
+        p, pk = a[k][k], a[k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
         for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-            a[j][k] = Fraction(0)
-    return pos - neg
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * pk[j]) // prev
+        prev = p
+    return (0 if null else prev), sig
+
+
+def signature(M: IntMatrix) -> int:
+    """Signature of a symmetric integer matrix, computed exactly by
+    `det_signature`."""
+    return det_signature(M)[1]
 
 
 def vector_gcd(v: Sequence[int]) -> int:

@@ -19,16 +19,19 @@ Two shortcuts keep the fiber computations small:
   factors already form a divisibility chain with zeros last, so they are
   the invariant factors of the relations.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
-  one parity class per axis, which yields the admissible values in the
-  same lexicographic order as a scan of the whole box; the box volume is
-  still what the enumeration cap guards.
+  one parity class per axis, depth first and one axis at a time, which
+  yields the admissible values in the same lexicographic order as a scan
+  of the whole box.  The walk carries the partial column sum
+  r = sum_{i<k} u_i Q_i and the partial form, so fixing u_k = x adds
+  x * (2 r_k + x Q_kk) to the form and x * Q_k to r: O(b2) per step, nothing
+  when x = 0, and no product Q u per point.  The box volume is still what
+  the enumeration cap guards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from . import exact
@@ -82,7 +85,7 @@ def enumerate_kappa(data: ManifoldData, bound: int,
 
     The admissible set can be infinite for indefinite Q, so only a box is
     searched; the box volume is rejected above `cap`.  Within the box only
-    the points with u = w2 (mod 2) are tested.
+    the points with u = w2 (mod 2) are walked (see the module docstring).
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -90,8 +93,29 @@ def enumerate_kappa(data: ManifoldData, bound: int,
     if width ** data.b2 > cap:
         raise ValueError(
             f"enumeration box {width}^{data.b2} exceeds cap {cap}")
+    if not data.b2:
+        return [()] if data.sigma == 0 else []
     axes = [range(-bound + (bound + w) % 2, bound + 1, 2) for w in data.w2]
-    return [u for u in product(*axes) if is_kappa_admissible(data, u)]
+    rows, last, found, u = data.Q.data, data.b2 - 1, [], [0] * data.b2
+    # an explicit stack, so the depth b2 meets no recursion limit; entry k
+    # holds the values left on axis k, r = sum_{i<k} u_i Q_i and u[:k]^T Q u[:k]
+    stack = [(iter(axes[0]), [0] * data.b2, 0)]
+    while stack:
+        k = len(stack) - 1
+        values, r, s = stack[-1]
+        x = next(values, None)
+        if x is None:
+            stack.pop()
+            continue
+        u[k] = x
+        s += x * (2 * r[k] + x * rows[k][k])
+        if k < last:
+            if x:
+                r = [ri + x * qi for ri, qi in zip(r, rows[k])]
+            stack.append((iter(axes[k + 1]), r, s))
+        elif s == data.sigma:
+            found.append(tuple(u))
+    return found
 
 
 def is_symmetric_pair(data: ManifoldData, u: Sequence[int],

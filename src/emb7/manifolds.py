@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import jsonio
-from .exact import IntMatrix, signature
+from .exact import IntMatrix, det_signature
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,15 @@ def validate(data: ManifoldData) -> list:
     elif not data.Q.is_symmetric():
         v.append("Q is not symmetric")
     else:
-        d = data.Q.det()
+        d, s = det_signature(data.Q)
         if abs(d) != 1:
             v.append(f"Q is not unimodular (det={d})")
-        s = signature(data.Q)
         if s != data.sigma:
             v.append(f"signature(Q)={s} does not match sigma={data.sigma}")
     if data.P.shape != (b3, b1):
         v.append(f"P has shape {data.P.shape}, expected {(b3, b1)}")
-    elif b1 > 0 and abs(data.P.det()) != 1:
-        v.append(f"P is not unimodular (det={data.P.det()})")
+    elif b1 > 0 and abs(d := data.P.det()) != 1:
+        v.append(f"P is not unimodular (det={d})")
     if len(data.T) != b2:
         v.append(f"T has {len(data.T)} slices, expected b2={b2}")
     else:
@@ -90,10 +89,6 @@ def validate(data: ManifoldData) -> list:
                 v.append(f"Wu condition fails on basis vector {j}: "
                          f"Q[{j},{j}]={data.Q[j, j]} vs (Q w2)[{j}]={qw[j]} mod 2")
     return v
-
-
-def is_valid(data: ManifoldData) -> bool:
-    return not validate(data)
 
 
 def _zero_tensor(b2: int, b3: int) -> tuple:

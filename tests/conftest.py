@@ -7,6 +7,14 @@ from emb7.exact import IntMatrix, inverse_unimodular, solve_linear
 from emb7.manifolds import ManifoldData, builtin, validate
 
 
+def is_valid(data: ManifoldData) -> bool:
+    return not validate(data)
+
+
+def scaled(m: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix([[c * a for a in r] for r in m.data], cols=m.cols)
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 14) -> IntMatrix:
     """Product of random elementary row operations applied to the identity."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -39,10 +47,12 @@ def random_matrix(rng: random.Random, rows: int, cols: int,
                       for _ in range(rows)], cols=cols)
 
 
-def random_form_manifold(rng: random.Random, b2: int) -> ManifoldData:
+def random_form_manifold(rng: random.Random, b2: int,
+                         sign: int = 0) -> ManifoldData:
     """A validated simply-connected fixture with a random unimodular
-    intersection form: Q = M^T D M for diagonal D of +-1 signs."""
-    signs = [rng.choice((-1, 1)) for _ in range(b2)]
+    intersection form: Q = M^T D M for diagonal D of +-1 signs, all equal
+    to `sign` (a definite form) when it is nonzero."""
+    signs = [sign or rng.choice((-1, 1)) for _ in range(b2)]
     m = random_unimodular(rng, b2)
     d = IntMatrix.diagonal(signs)
     q = m.T @ d @ m
@@ -78,7 +88,7 @@ def basis_change(data: ManifoldData, m2: IntMatrix, a: IntMatrix,
         for asl in range(data.b2):
             c = m2[asl, i]
             if c:
-                acc = acc + (a.T @ data.T[asl] @ a).scale(c)
+                acc = acc + scaled(a.T @ data.T[asl] @ a, c)
         slices.append(acc)
     return dataclasses.replace(
         data,

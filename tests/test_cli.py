@@ -429,3 +429,33 @@ class TestNumpyOnlyForLinkTau:
         assert code == 1 and "Traceback" not in err
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": "no certificate"}
+
+
+class TestNoFractionsOnLoad:
+    def test_validate_and_enumeration_load_no_fractions(self, tmp_path):
+        # `fractions` (and the `decimal` it imports) cost a few ms cold;
+        # loading and enumerating run on integers alone
+        path = tmp_path / "t2xs2.json"
+        path.write_text(json.dumps(to_json(builtin("t2xs2"))))
+        calls = [
+            ["validate", str(path)],
+            ["kappa-enum", "--manifold", str(path), "--bound", "2"],
+            ["fiber", "--manifold", str(path), "--u", "[0,0]",
+             "--L", "[[2,0],[0,2]]", "--enumerate"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import emb7.cli\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert emb7.cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted({'fractions', 'decimal'}\n"
+            "                         & set(sys.modules)))\n"
+            "print(json.dumps(loaded))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                             capture_output=True, text=True, env=env,
+                             timeout=60, check=True)
+        assert json.loads(out.stdout) == [[]] * len(calls)

@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix, random_unimodular
+from conftest import random_matrix, random_symmetric, random_unimodular
 from emb7.exact import (IntMatrix, cokernel, coset_normal_form,
-                        inverse_unimodular, signature, smith_normal_form,
-                        solve_linear, vector_gcd)
+                        det_signature, inverse_unimodular, signature,
+                        smith_normal_form, solve_linear, vector_gcd)
 
 small_matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
@@ -266,3 +268,91 @@ class TestAuxiliary:
             else:
                 oracle = round(np.linalg.det(np.array(M.tolists(), dtype=float)))
                 assert M.det() == oracle
+
+
+def fraction_signature(M: IntMatrix) -> int:
+    """Oracle: congruence-diagonalize over the rationals (Sylvester's law
+    keeps the signature) and count diagonal signs."""
+    n = M.rows
+    a = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if other is None:
+                    continue  # zero row: null direction
+                for j in range(n):
+                    a[k][j] += a[other][j]
+                for i in range(n):
+                    a[i][k] += a[i][other]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        # symmetric Schur complement: congruence, so signature is preserved
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+        for j in range(k + 1, n):
+            a[k][j] = Fraction(0)
+            a[j][k] = Fraction(0)
+    return pos - neg
+
+
+def hyperbolic(k: int) -> IntMatrix:
+    """The sum of k hyperbolic planes [[0, 1], [1, 0]]: a zero diagonal."""
+    return IntMatrix([[1 if i // 2 == j // 2 and i != j else 0
+                       for j in range(2 * k)] for i in range(2 * k)],
+                     cols=2 * k)
+
+
+def zero_diagonal_form(rng, n: int) -> IntMatrix:
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
+    return IntMatrix(m, cols=n)
+
+
+class TestDetSignature:
+    """The fraction-free pass against the Fraction oracle and Bareiss det."""
+
+    def check(self, M: IntMatrix):
+        assert det_signature(M) == (M.det(), fraction_signature(M)), M
+
+    def test_congruent_forms_with_singular_d(self, rng):
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            B = random_matrix(rng, n, n, bound=3)
+            D = IntMatrix.diagonal([rng.choice((-2, -1, 0, 0, 1, 2, 3))
+                                    for _ in range(n)])
+            self.check(B.T @ D @ B)
+
+    def test_zero_diagonal(self, rng):
+        for k in range(5):
+            self.check(hyperbolic(k))
+            assert det_signature(hyperbolic(k)) == ((-1) ** k, 0)
+        for _ in range(200):
+            self.check(zero_diagonal_form(rng, rng.randint(1, 7)))
+
+    def test_empty_form(self):
+        assert det_signature(IntMatrix.zeros(0, 0)) == (1, 0)
+
+    def test_signature_is_the_second_value(self, rng):
+        for _ in range(50):
+            M = random_symmetric(rng, rng.randint(0, 6), bound=7)
+            assert signature(M) == det_signature(M)[1] == \
+                fraction_signature(M)
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(ValueError, match="non-symmetric"):
+            det_signature(IntMatrix([[0, 1], [2, 0]]))

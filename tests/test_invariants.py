@@ -5,16 +5,32 @@ import pytest
 
 import emb7.invariants
 from conftest import (basis_change, direct_sum, free_h1_manifold,
-                      random_form_manifold, random_symmetric,
-                      random_unimodular)
+                      random_form_manifold, random_matrix,
+                      random_symmetric, random_unimodular, scaled)
 from emb7.classify import classes_equal, embedding_class
 from emb7.exact import IntMatrix, cokernel, coset_normal_form
-from emb7.manifolds import builtin
+from emb7.manifolds import BUILTIN_NAMES, ManifoldData, builtin
 from emb7.invariants import (base_lambda, compression_obstruction,
                              divisibility, enumerate_kappa,
                              is_kappa_admissible, is_symmetric_pair, k_group,
                              k_group_presentation, lambda_adjoint,
                              regular_homotopy_equivalent, whitney_w)
+
+
+def form_with_hits(rng, b2: int, sign: int) -> ManifoldData:
+    """Unvalidated data with a random Q, indefinite for sign 0 and definite
+    of that sign otherwise, and sigma set to the value of a random point of
+    the w2 sublattice, so that a box of bound 3 holds admissible points."""
+    if sign:
+        B = random_matrix(rng, b2, b2, bound=1)
+        Q = scaled(B.T @ B + IntMatrix.identity(b2), sign)
+    else:
+        Q = random_symmetric(rng, b2, bound=2)
+    w2 = tuple(rng.randint(0, 1) for _ in range(b2))
+    u = [w + 2 * rng.randint(-1, 1) for w in w2]
+    return ManifoldData(b1=0, b2=b2, b3=0, Q=Q, P=IntMatrix.zeros(0, 0),
+                        T=(), w2=w2, sigma=sum(a * b for a, b in
+                                               zip(u, Q.apply(u))))
 
 
 class TestDivisibility:
@@ -92,22 +108,55 @@ class TestEnumerateKappa:
     def test_walks_only_the_w2_sublattice(self, monkeypatch):
         data = direct_sum(builtin("cp2"), builtin("s2xs2"))  # w2 = (1, 0, 0)
         admissible = is_kappa_admissible
-        tested = []
 
-        def counting(data, u):
-            tested.append(tuple(u))
-            return admissible(data, u)
+        def untouched(data, u):
+            raise AssertionError("the walk calls is_kappa_admissible")
 
-        monkeypatch.setattr(emb7.invariants, "is_kappa_admissible", counting)
+        monkeypatch.setattr(emb7.invariants, "is_kappa_admissible", untouched)
         for bound in range(4):
             box = [u for u in product(range(-bound, bound + 1), repeat=3)
                    if admissible(data, u)]
-            tested.clear()
             assert enumerate_kappa(data, bound) == box
-            odd, even = (bound + 1) // 2 * 2, bound // 2 * 2 + 1
-            assert len(tested) == odd * even ** 2
-            assert all((ui - wi) % 2 == 0
-                       for u in tested for ui, wi in zip(u, data.w2))
+
+    def test_matches_box_scan(self, rng):
+        forms = [builtin(name) for name in BUILTIN_NAMES]
+        forms += [direct_sum(builtin("cp2"), builtin("s2xs2")),
+                  direct_sum(builtin("t2xs2"), builtin("cp2")),
+                  direct_sum(builtin("cp2"), builtin("cp2"))]
+        forms += [random_form_manifold(rng, rng.randint(1, 4))
+                  for _ in range(6)]
+        forms += [random_form_manifold(rng, rng.randint(1, 4), sign=sign)
+                  for sign in (1, -1) for _ in range(3)]
+        forms += [form_with_hits(rng, rng.randint(1, 5), sign)
+                  for sign in (0, 1, -1) for _ in range(8)]
+        for data in forms:
+            for bound in range(4):
+                box = [u for u in product(range(-bound, bound + 1),
+                                          repeat=data.b2)
+                       if is_kappa_admissible(data, u)]
+                assert enumerate_kappa(data, bound) == box, (data, bound)
+        assert enumerate_kappa(builtin("s4"), 0) == [()]
+        assert enumerate_kappa(builtin("s1xs3"), 0) == [()]
+
+    def test_cap_message(self):
+        with pytest.raises(ValueError) as err:
+            enumerate_kappa(builtin("s2xs2"), 2, cap=24)
+        assert str(err.value) == "enumeration box 5^2 exceeds cap 24"
+        with pytest.raises(ValueError) as err:
+            enumerate_kappa(builtin("cp2"), -1)
+        assert str(err.value) == "bound must be non-negative"
+
+    def test_deep_walk_is_iterative(self):
+        # bound 0 passes the cap for any b2; a recursive walk would stop
+        # at the interpreter's recursion limit long before b2 = 1500
+        b2 = 1500
+        data = ManifoldData(b1=0, b2=b2, b3=0, Q=IntMatrix.identity(b2),
+                            P=IntMatrix.zeros(0, 0), T=(), w2=(0,) * b2,
+                            sigma=0)
+        assert enumerate_kappa(data, 0) == [(0,) * b2]
+        assert enumerate_kappa(dataclasses.replace(data, sigma=1), 0) == []
+        odd = dataclasses.replace(data, w2=(0,) * (b2 - 1) + (1,))
+        assert enumerate_kappa(odd, 0) == []
 
 
 class TestSymmetricPair:
@@ -268,10 +317,13 @@ class TestKGroupOracle:
                 e = [rng.randint(-4, 4) for _ in range(b1)]
                 shifted = [x + 2 * y + d * z for x, y, z
                            in zip(beta, lam.apply(c), e)]
-                assert G.normal_form(beta) == G.normal_form(shifted)
+                assert coset_normal_form(G, beta) == \
+                    coset_normal_form(G, shifted)
                 other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
-                assert (G.normal_form(beta) == G.normal_form(other)) == \
-                    (ref.normal_form(beta) == ref.normal_form(other))
+                assert (coset_normal_form(G, beta)
+                        == coset_normal_form(G, other)) == \
+                    (coset_normal_form(ref, beta)
+                     == coset_normal_form(ref, other))
 
     def test_classes_equal_matches_reference(self, rng):
         data = direct_sum(builtin("t2xs2"), builtin("s1xs3"))
@@ -312,7 +364,7 @@ class TestWhitney:
             data = free_h1_manifold(rng, n)
             L = IntMatrix([[rng.randint(-9, 9) for _ in range(n)]
                            for _ in range(n)])
-            twice = random_symmetric(rng, n).scale(2)
+            twice = scaled(random_symmetric(rng, n), 2)
             anti = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):

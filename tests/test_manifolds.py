@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from conftest import basis_change, random_form_manifold, random_unimodular
+from conftest import (basis_change, is_valid, random_form_manifold,
+                      random_unimodular)
 from emb7.exact import IntMatrix
-from emb7.manifolds import (BUILTIN_NAMES, builtin, from_json, is_valid,
-                            to_json, validate)
+from emb7.manifolds import BUILTIN_NAMES, builtin, from_json, to_json, validate
 
 
 def test_builtins_validate(builtin_data):
