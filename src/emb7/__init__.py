@@ -3,7 +3,7 @@ with torsion-free H1 into 7-space, modulo connected sum with knotted
 4-spheres, plus a numerical linking-number verifier for the twisted torus
 family on S^1 x S^3."""
 
-from .exact import (AbelianGroupPresentation, IntMatrix, SNFResult, cokernel,
+from .exact import (AbelianGroupPresentation, IntMatrix, SNFResult,
                     coset_normal_form, smith_normal_form, solve_linear)
 from .manifolds import ManifoldData, builtin, validate
 from .invariants import (KGroup, base_lambda, compression_obstruction,

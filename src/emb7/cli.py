@@ -40,7 +40,7 @@ def _load_manifold(source: str) -> manifolds.ManifoldData:
     if not os.path.exists(source):
         raise FileNotFoundError(source)
     with open(source) as fh:
-        data = manifolds.from_json(json.load(fh))
+        data = manifolds.from_json(_json_loads(fh.read()))
     violations = manifolds.validate(data)
     if violations:
         raise DomainError({"error": "manifold data is invalid",
@@ -48,9 +48,18 @@ def _load_manifold(source: str) -> manifolds.ManifoldData:
     return data
 
 
-def _parse_json_arg(text: str):
+def _json_loads(text: str):
+    """json.loads, with nesting too deep for the decoder reported as the
+    JSONDecodeError that other malformed JSON gets."""
     try:
         return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
+def _parse_json_arg(text: str):
+    try:
+        return _json_loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}")
 
@@ -130,7 +139,7 @@ def _size_str(size) -> str:
 
 def _cmd_validate(args):
     with open(args.file) as fh:
-        obj = json.load(fh)
+        obj = _json_loads(fh.read())
     try:
         data = manifolds.from_json(obj)
     except ValueError as exc:

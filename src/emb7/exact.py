@@ -1,6 +1,6 @@
 """Exact integer linear algebra: Smith normal form, solving over Z and Z_d,
-cokernel presentations of finitely generated abelian groups, and canonical
-coset representatives.
+presentations of finitely generated abelian groups, and canonical coset
+representatives.
 
 All arithmetic uses arbitrary-precision Python integers.  Intermediate
 entries in a Smith reduction can grow far past 64 bits, so nothing here
@@ -10,8 +10,9 @@ touches floating point or fixed-width machine words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class IntMatrix:
@@ -151,12 +152,13 @@ class SNFResult:
     """Smith decomposition U @ A @ V == D.
 
     U and V are unimodular; D is diagonal, non-negative, and each diagonal
-    entry divides the next (zeros come last).
+    entry divides the next (zeros come last).  When the reduction started
+    from a `left` matrix, U holds U_A @ left and V is None.
     """
 
     U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
+    V: Optional[IntMatrix]
 
     def diagonal(self) -> tuple:
         r = min(self.D.rows, self.D.cols)
@@ -176,31 +178,34 @@ def _pivot(a, m, n, t):
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SNFResult:
+def smith_normal_form(A: IntMatrix,
+                      left: Optional[IntMatrix] = None) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
     Pivoting always picks the smallest-absolute-value nonzero entry (ties by
     lowest row, then column), which keeps intermediate growth modest and
     makes the output deterministic for a fixed input.
+
+    With `left` (a matrix with A.rows rows) the row operations act on
+    `left` instead of the identity, so U comes back as U_A @ left, and V is
+    not tracked (None): a caller that presents Z^n / A through a unimodular
+    change of basis `left` gets the composed projection without a product.
     """
     m, n = A.rows, A.cols
+    if left is not None and left.rows != m:
+        raise ValueError(f"left has {left.rows} rows, A has {m}")
     a = [list(r) for r in A.data]
-    u = [list(r) for r in IntMatrix.identity(m).data]
-    v = [list(r) for r in IntMatrix.identity(n).data]
+    u = [list(r) for r in (IntMatrix.identity(m) if left is None else left).data]
+    # V, when not tracked, is an empty list of rows that every step skips
+    v = [list(r) for r in IntMatrix.identity(n).data] if left is None else []
 
     def row_sub(i, t, q):
-        ai, at = a[i], a[t]
-        ui, ut = u[i], u[t]
-        for j in range(n):
-            ai[j] -= q * at[j]
-        for j in range(m):
-            ui[j] -= q * ut[j]
+        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
 
     def col_sub(j, t, q):
-        for i in range(m):
-            a[i][j] -= q * a[i][t]
-        for i in range(n):
-            v[i][j] -= q * v[i][t]
+        for row in a + v:
+            row[j] -= q * row[t]
 
     rank = min(m, n)
     for t in range(rank):
@@ -213,9 +218,7 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
                 a[t], a[pi] = a[pi], a[t]
                 u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in v:
+                for row in a + v:
                     row[t], row[pj] = row[pj], row[t]
             p = a[t][t]
             for i in range(t + 1, m):
@@ -233,10 +236,8 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     # Non-negative diagonal: absorb signs into U.
     for t in range(rank):
         if a[t][t] < 0:
-            for j in range(n):
-                a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
 
     # Divisibility chain d_i | d_j for i < j via 2x2 gcd/lcm steps.
     for i in range(rank):
@@ -249,19 +250,20 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
             # U2 = [[x, y], [-dj/g, di/g]], V2 = [[1, -y*dj/g], [1, x*di/g]]
             # turn diag(di, dj) into diag(g, di*dj/g).
             ui, uj = u[i], u[j]
-            for k in range(m):
+            for k in range(len(ui)):
                 ui[k], uj[k] = x * ui[k] + y * uj[k], \
                     -(dj // g) * ui[k] + (di // g) * uj[k]
-            for k in range(n):
-                v[k][i], v[k][j] = v[k][i] + v[k][j], \
-                    -(y * dj // g) * v[k][i] + (x * di // g) * v[k][j]
+            for row in v:
+                row[i], row[j] = row[i] + row[j], \
+                    -(y * dj // g) * row[i] + (x * di // g) * row[j]
             a[i][i] = g
             a[j][j] = di * dj // g
             di = g
 
     D = IntMatrix([[a[i][j] if i == j else 0 for j in range(n)]
                    for i in range(m)], cols=n)
-    return SNFResult(U=IntMatrix(u, cols=m), D=D, V=IntMatrix(v, cols=n))
+    return SNFResult(U=IntMatrix(u, cols=m if left is None else left.cols),
+                     D=D, V=IntMatrix(v, cols=n) if left is None else None)
 
 
 def _gcdext(a: int, b: int) -> tuple:
@@ -287,12 +289,18 @@ class AbelianGroupPresentation:
     infinite cyclic summand.  `projection` is a unimodular matrix carrying
     ambient coordinates to factor coordinates, so membership in the relation
     subgroup is exactly "all factor coordinates vanish modulo their factor".
+    Only checks read `relations`, so it is built on first read by
+    `build_relations`.
     """
 
     ambient_rank: int
-    relations: IntMatrix
+    build_relations: Callable[[], IntMatrix] = field(repr=False, compare=False)
     invariant_factors: tuple
     projection: IntMatrix
+
+    @cached_property
+    def relations(self) -> IntMatrix:
+        return self.build_relations()
 
     def order(self) -> Optional[int]:
         """Group order, or None when some factor is infinite."""
@@ -302,22 +310,6 @@ class AbelianGroupPresentation:
                 return None
             total *= d
         return total
-
-
-def cokernel(ambient_rank: int, relations: IntMatrix) -> AbelianGroupPresentation:
-    """Present Z^ambient_rank modulo the column span of `relations`."""
-    if relations.rows != ambient_rank:
-        raise ValueError(
-            f"relations have {relations.rows} rows, ambient rank is {ambient_rank}")
-    res = smith_normal_form(relations)
-    diag = res.diagonal()
-    factors = tuple(diag) + (0,) * (ambient_rank - len(diag))
-    return AbelianGroupPresentation(
-        ambient_rank=ambient_rank,
-        relations=relations,
-        invariant_factors=factors,
-        projection=res.U,
-    )
 
 
 def coset_normal_form(G: AbelianGroupPresentation, v: Sequence[int]) -> tuple:

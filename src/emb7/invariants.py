@@ -10,14 +10,17 @@ homotopy, the mod-2 diagonal class W, the compression necessary condition).
 
 Two shortcuts keep the fiber computations small:
 
-- The K-group comes from the Smith form of the b1 x b3 adjoint alone, not of
-  the b1 x (b3 + b1) relation matrix [2*Lambda | d*I].  With
-  U Lambda V = S, the invertible U carries the relations onto the columns of
+- The K-group comes from one Smith form, of L itself.  P is unimodular
+  (`validate` checks this on every load) and L = P Lambda, so
+  U_L L V = S gives (U_L P) Lambda V = S: Lambda has the Smith diagonal s
+  of L, and U = U_L P is its projection onto factor coordinates.  The
+  invertible U carries the relations [2*Lambda | d*I] onto the columns of
   [2S | d*I] (V and U^-1 only recombine columns), so K is the sum of the
-  cyclic groups Z/gcd(2 s_i, d), with the diagonal s padded by zeros to
-  length b1, and U is the projection onto factor coordinates.  These
-  factors already form a divisibility chain with zeros last, so they are
-  the invariant factors of the relations.
+  cyclic groups Z/gcd(2 s_i, d), with s padded by zeros to length b1.
+  These factors already form a divisibility chain with zeros last, so they
+  are the invariant factors of the relations.  The row operations start
+  from P (`smith_normal_form(L, left=P)`), so neither P^-1 nor the product
+  U_L P is formed, and the relation matrix is built only when read.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import (AbelianGroupPresentation, IntMatrix, inverse_unimodular,
-                    solve_linear, vector_gcd)
+from .exact import (AbelianGroupPresentation, IntMatrix, solve_linear,
+                    vector_gcd)
 from .manifolds import ManifoldData
 
 # A kappa value is a plain integer vector in H2 coordinates; a lambda form
@@ -51,9 +54,9 @@ DEFAULT_ENUM_CAP = 10 ** 7
 class KGroup:
     """Value group of the beta invariant over a fixed (u, L) fiber.
 
-    The presentation relations are the columns of 2*Lambda together with
-    d times the identity on H1, where Lambda is the adjoint of L and
-    d = divisibility(u).
+    The group is H1 modulo the columns of 2*Lambda together with d times
+    the identity, where Lambda is the adjoint of L and d = divisibility(u);
+    it is computed from the Smith form of L (see the module docstring).
     """
 
     group: AbelianGroupPresentation
@@ -146,38 +149,43 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
     Lambda with L = P @ Lambda."""
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
-    return inverse_unimodular(data.P) @ L
+    return exact.inverse_unimodular(data.P) @ L
 
 
-def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
-    """Quotient of H1 by the columns of 2*lam together with d*identity.
-
-    Only lam is put in Smith form (see the module docstring); `relations`
-    still records the full matrix [2*lam | d*I].
-    """
-    b1 = lam.rows
-    relations = IntMatrix(
-        [[2 * lam[i, j] for j in range(lam.cols)] +
-         [d if i == j else 0 for j in range(b1)] for i in range(b1)],
-        cols=lam.cols + b1)
-    # looked up on the module so that a wrapper installed on
-    # exact.smith_normal_form at run time also sees this call
-    res = exact.smith_normal_form(lam)
-    s = res.diagonal() + (0,) * (b1 - min(lam.rows, lam.cols))
+def _k_presentation(res: exact.SNFResult, b1: int, d: int,
+                    adjoint) -> AbelianGroupPresentation:
+    """K from a Smith reduction with the adjoint's diagonal and projection;
+    the relations [2*Lambda | d*I] are built from `adjoint()` on read."""
+    s = res.diagonal() + (0,) * (b1 - min(res.D.shape))
     return AbelianGroupPresentation(
         ambient_rank=b1,
-        relations=relations,
+        build_relations=lambda: IntMatrix(
+            [[2 * x for x in row] + [d if i == j else 0 for j in range(b1)]
+             for i, row in enumerate(adjoint().data)], cols=res.D.cols + b1),
         invariant_factors=tuple(math.gcd(2 * si, d) for si in s),
         projection=res.U,
     )
 
 
+def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
+    """Quotient of H1 by the columns of 2*lam together with d*identity,
+    from the Smith form of lam alone; `relations` is [2*lam | d*I]."""
+    # looked up on the module so that a wrapper installed on
+    # exact.smith_normal_form at run time also sees this call
+    return _k_presentation(exact.smith_normal_form(lam), lam.rows, d,
+                           lambda: lam)
+
+
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
-    """The beta value group for the fiber over (u, L)."""
+    """The beta value group for the fiber over (u, L), from one Smith
+    reduction of L started from P (see the module docstring)."""
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)
-    return KGroup(group=k_group_presentation(lambda_adjoint(data, L), d), d=d)
+    res = exact.smith_normal_form(L, left=data.P)
+    return KGroup(group=_k_presentation(res, data.b1, d,
+                                        lambda: lambda_adjoint(data, L)),
+                  d=d)
 
 
 def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:

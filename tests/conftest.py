@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from emb7.exact import IntMatrix, inverse_unimodular, solve_linear
+from emb7.exact import (AbelianGroupPresentation, IntMatrix,
+                        inverse_unimodular, smith_normal_form, solve_linear)
 from emb7.manifolds import ManifoldData, builtin, validate
 
 
@@ -13,6 +14,23 @@ def is_valid(data: ManifoldData) -> bool:
 
 def scaled(m: IntMatrix, c: int) -> IntMatrix:
     return IntMatrix([[c * a for a in r] for r in m.data], cols=m.cols)
+
+
+def cokernel(ambient_rank: int, relations: IntMatrix) -> AbelianGroupPresentation:
+    """Present Z^ambient_rank modulo the column span of `relations`, from
+    the Smith form of the whole relation matrix (the reference route)."""
+    if relations.rows != ambient_rank:
+        raise ValueError(
+            f"relations have {relations.rows} rows, ambient rank is {ambient_rank}")
+    res = smith_normal_form(relations)
+    diag = res.diagonal()
+    factors = tuple(diag) + (0,) * (ambient_rank - len(diag))
+    return AbelianGroupPresentation(
+        ambient_rank=ambient_rank,
+        build_relations=lambda: relations,
+        invariant_factors=factors,
+        projection=res.U,
+    )
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 14) -> IntMatrix:

@@ -6,9 +6,10 @@ import time
 from itertools import product
 
 import emb7.linking as lk
-from conftest import (direct_sum, free_h1_manifold, random_form_manifold,
-                      random_matrix, random_symmetric, random_unimodular)
-from emb7.exact import IntMatrix, cokernel, coset_normal_form, solve_linear
+from conftest import (cokernel, direct_sum, free_h1_manifold,
+                      random_form_manifold, random_matrix, random_symmetric,
+                      random_unimodular)
+from emb7.exact import IntMatrix, coset_normal_form, solve_linear
 from emb7.manifolds import builtin
 from emb7.classify import classes_equal, embedding_class, fiber_size
 from emb7.invariants import (base_lambda, enumerate_kappa,

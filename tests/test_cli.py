@@ -459,3 +459,42 @@ class TestNoFractionsOnLoad:
                              capture_output=True, text=True, env=env,
                              timeout=60, check=True)
         assert json.loads(out.stdout) == [[]] * len(calls)
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder can recurse is malformed input:
+    a usage error (exit 2), never a traceback."""
+
+    DEEP = "[" * 100000
+
+    def emb7(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "emb7.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def check_usage_error(self, proc):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_argument(self):
+        proc = self.emb7("snf", "--matrix", self.DEEP)
+        self.check_usage_error(proc)
+        assert "usage:" in proc.stderr and "--matrix" in proc.stderr
+
+    def test_manifold_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        proc = self.emb7("k-group", "--manifold", str(path), "--u", "[]",
+                         "--L", "[]")
+        self.check_usage_error(proc)
+        assert proc.stderr.startswith("emb7: ")
+
+    def test_validate_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        proc = self.emb7("validate", str(path))
+        self.check_usage_error(proc)
+        assert proc.stderr.startswith("emb7: ")

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix, random_symmetric, random_unimodular
-from emb7.exact import (IntMatrix, cokernel, coset_normal_form,
-                        det_signature, inverse_unimodular, signature,
-                        smith_normal_form, solve_linear, vector_gcd)
+from conftest import (cokernel, random_matrix, random_symmetric,
+                      random_unimodular)
+from emb7.exact import (IntMatrix, coset_normal_form, det_signature,
+                        inverse_unimodular, signature, smith_normal_form,
+                        solve_linear, vector_gcd)
 
 small_matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
@@ -103,6 +104,24 @@ class TestSmithNormalForm:
         A = random_matrix(rng, 5, 4)
         r1, r2 = smith_normal_form(A), smith_normal_form(A)
         assert (r1.U, r1.D, r1.V) == (r2.U, r2.D, r2.V)
+
+
+class TestSmithLeft:
+    def test_u_composed_with_left_and_no_v(self, rng):
+        for _ in range(80):
+            m, n, k = (rng.randint(0, 5) for _ in range(3))
+            A = random_matrix(rng, m, n)
+            for M in (random_unimodular(rng, m), random_matrix(rng, m, k, 9)):
+                plain = smith_normal_form(A)
+                res = smith_normal_form(A, left=M)
+                assert res.diagonal() == plain.diagonal()
+                assert res.D == plain.D
+                assert res.U == plain.U @ M
+                assert res.V is None
+
+    def test_left_rows_must_match(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(IntMatrix([[2, 0]]), left=IntMatrix.identity(2))
 
 
 class TestCokernel:

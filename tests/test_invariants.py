@@ -1,15 +1,16 @@
 import dataclasses
+import json
 from itertools import product
 
 import pytest
 
 import emb7.invariants
-from conftest import (basis_change, direct_sum, free_h1_manifold,
+from conftest import (basis_change, cokernel, direct_sum, free_h1_manifold,
                       random_form_manifold, random_matrix,
                       random_symmetric, random_unimodular, scaled)
 from emb7.classify import classes_equal, embedding_class
-from emb7.exact import IntMatrix, cokernel, coset_normal_form
-from emb7.manifolds import BUILTIN_NAMES, ManifoldData, builtin
+from emb7.exact import IntMatrix, coset_normal_form
+from emb7.manifolds import BUILTIN_NAMES, ManifoldData, builtin, to_json
 from emb7.invariants import (base_lambda, compression_obstruction,
                              divisibility, enumerate_kappa,
                              is_kappa_admissible, is_symmetric_pair, k_group,
@@ -297,7 +298,53 @@ def random_presentation_pairs(rng, count: int):
     return edges + randoms
 
 
+def twisted_pairing_fibers(rng, count: int) -> list:
+    """(data, u, L) fibers over validated manifolds whose pairing P is a
+    random unimodular matrix: H1 and H3 basis changes of t2xs2 # s1xs3,
+    with d = divisibility(u) in {0, 2, 4, 6}, and free_h1_manifold
+    fixtures, with d = 0."""
+    base = direct_sum(builtin("t2xs2"), builtin("s1xs3"))
+    us = enumerate_kappa(base, 6)
+    fibers = []
+    for _ in range(count):
+        data = basis_change(base, IntMatrix.identity(base.b2),
+                            random_unimodular(rng, base.b3),
+                            random_unimodular(rng, base.b1))
+        u = rng.choice(us)
+        fibers.append((data, u, base_lambda(data, u)
+                       + random_symmetric(rng, data.b3)))
+        free = free_h1_manifold(rng, rng.randint(1, 4))
+        fibers.append((free, (), random_symmetric(rng, free.b3, 9)))
+    assert any(data.P != IntMatrix.identity(data.b1) for data, _, _ in fibers)
+    return fibers
+
+
 class TestKGroupOracle:
+    def test_twisted_pairing_matches_full_cokernel(self, rng):
+        divisors = set()
+        for data, u, L in twisted_pairing_fibers(rng, 40):
+            d = divisibility(u)
+            divisors.add(d)
+            lam = lambda_adjoint(data, L)
+            G = k_group(data, u, L).group
+            ref = reference_k_group_presentation(lam, d)
+            assert G.invariant_factors == ref.invariant_factors, (data.P, L)
+            assert G.relations == ref.relations
+            for _ in range(5):
+                beta = [rng.randint(-20, 20) for _ in range(data.b1)]
+                c = [rng.randint(-4, 4) for _ in range(data.b3)]
+                e = [rng.randint(-4, 4) for _ in range(data.b1)]
+                shifted = [x + 2 * y + d * z for x, y, z
+                           in zip(beta, lam.apply(c), e)]
+                assert coset_normal_form(G, beta) == \
+                    coset_normal_form(G, shifted)
+                other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
+                assert (coset_normal_form(G, beta)
+                        == coset_normal_form(G, other)) == \
+                    (coset_normal_form(ref, beta)
+                     == coset_normal_form(ref, other))
+        assert 0 in divisors and len(divisors) > 1
+
     def test_factors_match_full_cokernel(self, rng):
         for lam, d in random_presentation_pairs(rng, 400):
             G = k_group_presentation(lam, d)
@@ -340,6 +387,52 @@ class TestKGroupOracle:
                     assert classes_equal(data, c1, c2) == \
                         (coset_normal_form(ref, beta)
                          == coset_normal_form(ref, other))
+
+
+class TestOneSmithFormPerKGroup:
+    """A K-group costs one Smith reduction, of L, and no inverse of P."""
+
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        import emb7.exact
+        real = emb7.exact.smith_normal_form
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def no_inverse(P):
+            raise AssertionError("P was inverted")
+
+        monkeypatch.setattr(emb7.exact, "smith_normal_form", counting)
+        monkeypatch.setattr(emb7.exact, "inverse_unimodular", no_inverse)
+        return calls
+
+    def test_k_group(self, rng, snf_calls):
+        for data, u, L in twisted_pairing_fibers(rng, 5):
+            snf_calls.clear()
+            k_group(data, u, L)
+            assert len(snf_calls) == 1
+
+    def test_cli_calls(self, rng, snf_calls, tmp_path, capsys):
+        from emb7.cli import main
+        data, u, L = next(f for f in twisted_pairing_fibers(rng, 10)
+                          if divisibility(f[1]))
+        path = tmp_path / "twisted.json"
+        path.write_text(json.dumps(to_json(data)))
+        common = ["--manifold", str(path), "--u", json.dumps(u),
+                  "--L", json.dumps(L.tolists())]
+        cls = [json.dumps({"u": list(u), "L": L.tolists(),
+                           "beta": [b] * data.b1}) for b in (1, 3)]
+        for argv in (["k-group", *common],
+                     ["fiber", *common, "--enumerate", "--cap", "20"],
+                     ["classify", "equal", "--manifold", str(path),
+                      "--class1", cls[0], "--class2", cls[1]]):
+            snf_calls.clear()
+            assert main(argv) == 0, capsys.readouterr()
+            assert len(snf_calls) == 1, argv
+        capsys.readouterr()
 
 
 class TestWhitney:
