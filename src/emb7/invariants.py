@@ -11,7 +11,7 @@ homotopy, the mod-2 diagonal class W, the compression necessary condition).
 Two shortcuts keep the fiber computations small:
 
 - The K-group comes from one Smith form, of L itself.  P is unimodular
-  (`validate` checks this on every load) and L = P Lambda, so
+  (`validate` checks this on every file load) and L = P Lambda, so
   U_L L V = S gives (U_L P) Lambda V = S: Lambda has the Smith diagonal s
   of L, and U = U_L P is its projection onto factor coordinates.  The
   invertible U carries the relations [2*Lambda | d*I] onto the columns of
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import exact
 from .exact import (AbelianGroupPresentation, IntMatrix, solve_linear,
@@ -153,7 +153,7 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
 
 
 def _k_presentation(res: exact.SNFResult, b1: int, d: int,
-                    adjoint) -> AbelianGroupPresentation:
+                    adjoint: Callable[[], IntMatrix]) -> AbelianGroupPresentation:
     """K from a Smith reduction with the adjoint's diagonal and projection;
     the relations [2*Lambda | d*I] are built from `adjoint()` on read."""
     s = res.diagonal() + (0,) * (b1 - min(res.D.shape))
