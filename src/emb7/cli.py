@@ -9,9 +9,9 @@ environment variable overrides the enumeration guard and nothing else is
 read from the environment.
 
 A call pays only for its own command: the parser holds just the command
-that argv names, and only `link tau` imports numpy (through `linking`).
-The exact commands are pure integer code; a cold `emb7 k-group` takes
-about 106 ms on a 2-core VM, against 302 ms when numpy was loaded too.
+that argv names, and each handler imports the emb7 modules it runs, so
+only `link tau` loads numpy and `snf` loads no manifold code.  Cold on a
+2-core VM, `emb7 snf` takes about 80 ms and `k-group` 106 ms (README).
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import json
 import os
 import sys
 
-from . import classify, invariants, jsonio, manifolds, moves
-from .exact import IntMatrix, smith_normal_form
 from .resolution import DEFAULT_RESOLUTION, MAX_RESOLUTION
 
 
@@ -34,7 +32,8 @@ class DomainError(Exception):
         self.payload = payload
 
 
-def _load_manifold(source: str) -> manifolds.ManifoldData:
+def _load_manifold(source: str):
+    from . import manifolds
     if source in manifolds.BUILTIN_NAMES:
         return manifolds.builtin(source)
     if not os.path.exists(source):
@@ -65,14 +64,17 @@ def _parse_json_arg(text: str):
 
 
 def _vector(text: str) -> tuple:
+    from . import jsonio
     return jsonio.decode_vector(_parse_json_arg(text))
 
 
-def _matrix(text: str) -> IntMatrix:
+def _matrix(text: str):
+    from . import jsonio
     return jsonio.decode_matrix(_parse_json_arg(text))
 
 
-def _move(text: str) -> moves.Move:
+def _move(text: str):
+    from . import moves
     parts = text.split(",")
     if len(parts) < 2:
         raise argparse.ArgumentTypeError(
@@ -106,8 +108,8 @@ def _bounded_int(low: int, high=None):
     return parse
 
 
-def _class_payload(data: manifolds.ManifoldData,
-                   obj: dict) -> classify.EmbeddingClass:
+def _class_payload(data, obj: dict):
+    from . import classify, jsonio
     beta = obj.get("beta")
     return classify.embedding_class(
         data,
@@ -116,7 +118,8 @@ def _class_payload(data: manifolds.ManifoldData,
         beta=None if beta is None else jsonio.decode_vector(beta))
 
 
-def _encode_class(cls: classify.EmbeddingClass) -> dict:
+def _encode_class(cls) -> dict:
+    from . import jsonio
     return {
         "u": jsonio.encode_vector(cls.u),
         "L": jsonio.encode_matrix(cls.L),
@@ -126,6 +129,7 @@ def _encode_class(cls: classify.EmbeddingClass) -> dict:
 
 
 def _enum_cap() -> int:
+    from . import invariants
     raw = os.environ.get("EMB7_ENUM_CAP")
     return int(raw) if raw else invariants.DEFAULT_ENUM_CAP
 
@@ -138,6 +142,7 @@ def _size_str(size) -> str:
 
 
 def _cmd_validate(args):
+    from . import manifolds
     with open(args.file) as fh:
         obj = _json_loads(fh.read())
     try:
@@ -151,22 +156,26 @@ def _cmd_validate(args):
 
 
 def _cmd_kappa_check(args):
+    from . import invariants
     data = _load_manifold(args.manifold)
     return {"admissible": invariants.is_kappa_admissible(data, args.u)}, 0
 
 
 def _cmd_kappa_enum(args):
+    from . import invariants, jsonio
     data = _load_manifold(args.manifold)
     values = invariants.enumerate_kappa(data, args.bound, cap=_enum_cap())
     return {"values": [jsonio.encode_vector(u) for u in values]}, 0
 
 
 def _cmd_sym_check(args):
+    from . import invariants
     data = _load_manifold(args.manifold)
     return {"symmetric": invariants.is_symmetric_pair(data, args.u, args.L)}, 0
 
 
 def _cmd_k_group(args):
+    from . import invariants
     data = _load_manifold(args.manifold)
     kg = invariants.k_group(data, args.u, args.L)
     return {
@@ -177,22 +186,26 @@ def _cmd_k_group(args):
 
 
 def _cmd_whitney(args):
+    from . import invariants, jsonio
     data = _load_manifold(args.manifold)
     return {"W": jsonio.encode_vector(invariants.whitney_w(data, args.L))}, 0
 
 
 def _cmd_reghom(args):
+    from . import invariants
     eq = invariants.regular_homotopy_equivalent(args.L0, args.L1)
     return {"equivalent": eq}, 0
 
 
 def _cmd_compress_check(args):
+    from . import invariants
     ok = invariants.compression_obstruction(args.u, args.L)
     return {"necessary_condition": ok,
             "note": "necessary for compressibility, not sufficient"}, 0
 
 
 def _cmd_move_apply(args):
+    from . import classify, moves
     data = _load_manifold(args.manifold)
     cls = _class_payload(data, args.cls)
     out = moves.apply_move(data, cls, args.move)
@@ -200,6 +213,7 @@ def _cmd_move_apply(args):
 
 
 def _cmd_decompose(args):
+    from . import jsonio, moves
     data = _load_manifold(args.manifold)
     out = moves.decompose_symmetric_form(data, args.form)
     return {"moves": [{"s": jsonio.encode_vector(s), "l": str(l)}
@@ -207,6 +221,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_tau(args):
+    from . import moves
     if args.op == "normal-form":
         l, b = moves.tau_normal_form(args.l, args.b)
         return {"l": str(l), "b": str(b)}, 0
@@ -217,6 +232,7 @@ def _cmd_tau(args):
 
 
 def _cmd_classify_equal(args):
+    from . import classify
     data = _load_manifold(args.manifold)
     c1 = _class_payload(data, args.class1)
     c2 = _class_payload(data, args.class2)
@@ -225,6 +241,7 @@ def _cmd_classify_equal(args):
 
 
 def _cmd_fiber(args):
+    from . import classify, jsonio
     data = _load_manifold(args.manifold)
     u = args.u if args.u is not None else (0,) * data.b2
     if args.enumerate:
@@ -261,7 +278,8 @@ def _cmd_link_tau(args):
 
 
 def _cmd_snf(args):
-    res = smith_normal_form(args.matrix)
+    from . import exact, jsonio
+    res = exact.smith_normal_form(args.matrix)
     return {"U": jsonio.encode_matrix(res.U),
             "D": jsonio.encode_matrix(res.D),
             "V": jsonio.encode_matrix(res.V)}, 0
@@ -465,7 +483,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"emb7: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, classify.BetaUnknownError) as exc:
+    except ValueError as exc:  # classify.BetaUnknownError among them
         _emit({"error": str(exc)})
         return 1
     except MemoryError:

@@ -178,7 +178,9 @@ def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
     """The beta value group for the fiber over (u, L), from one Smith
-    reduction of L started from P (see the module docstring)."""
+    reduction of L started from P (see the module docstring).  Expects data
+    that passed `validate`: for a P that is not unimodular the factors are
+    wrong, and no check here says so."""
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)

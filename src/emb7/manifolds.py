@@ -22,7 +22,8 @@ class ManifoldData:
 
     T is stored as b2 matrix slices: T[i][j, k] is the triple intersection
     of the i-th H2 basis class with the j-th and k-th H3 basis classes, so
-    each slice is antisymmetric.
+    each slice is antisymmetric.  The Python API expects data that passed
+    `validate` (P unimodular among the rest) and does not check it again.
     """
 
     b1: int

@@ -1,11 +1,24 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import emb7
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
                         inverse_unimodular, smith_normal_form, solve_linear)
 from emb7.manifolds import ManifoldData, builtin, validate
+
+
+def fresh_python(*args, check=False) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports emb7 from the same
+    tree as this test run, with stdout and stderr captured as text."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60, check=check)
 
 
 def is_valid(data: ManifoldData) -> bool:

@@ -1,12 +1,13 @@
 import argparse
 import json
 import os
-import subprocess
+import re
 import sys
 
 import pytest
 
 import emb7
+from conftest import fresh_python
 from emb7.cli import COMMANDS, build_parser, main
 from emb7.manifolds import builtin, to_json
 
@@ -409,11 +410,7 @@ class TestNumpyOnlyForLinkTau:
             "        assert emb7.cli.main(argv) == 0, argv\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(json.dumps(loaded))\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
-                             capture_output=True, text=True, env=env,
-                             timeout=60, check=True)
+        out = fresh_python("-c", script, json.dumps(calls), check=True)
         assert json.loads(out.stdout) == [False] * (len(calls) + 1)
 
     @pytest.mark.parametrize("error", ["UnconvergedError", "SeparationError"])
@@ -453,11 +450,7 @@ class TestNoFractionsOnLoad:
             "    loaded.append(sorted({'fractions', 'decimal'}\n"
             "                         & set(sys.modules)))\n"
             "print(json.dumps(loaded))\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
-                             capture_output=True, text=True, env=env,
-                             timeout=60, check=True)
+        out = fresh_python("-c", script, json.dumps(calls), check=True)
         assert json.loads(out.stdout) == [[]] * len(calls)
 
 
@@ -468,11 +461,7 @@ class TestDeeplyNestedJson:
     DEEP = "[" * 100000
 
     def emb7(self, *argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-m", "emb7.cli", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
+        return fresh_python("-m", "emb7.cli", *argv)
 
     def check_usage_error(self, proc):
         assert proc.returncode == 2
@@ -498,3 +487,88 @@ class TestDeeplyNestedJson:
         proc = self.emb7("validate", str(path))
         self.check_usage_error(proc)
         assert proc.stderr.startswith("emb7: ")
+
+
+def emb7_modules_after(*argv):
+    """The emb7 modules loaded in a fresh interpreter after `import emb7.cli`
+    and, when argv is given, one successful `emb7.cli.main(argv)`."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import emb7.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert emb7.cli.main(sys.argv[1:]) == 0, sys.argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'emb7')))\n")
+    return set(json.loads(fresh_python("-c", script, *argv,
+                                       check=True).stdout))
+
+
+class TestImportsPerCommand:
+    """Each command imports the emb7 modules it runs and no others."""
+
+    def test_cli_alone(self):
+        assert emb7_modules_after() == {"emb7", "emb7.cli", "emb7.resolution"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["snf", "--matrix", "[[2,4],[6,8]]"],
+         {"manifolds", "invariants", "classify", "moves"}),
+        (["link", "tau", "--l", "1", "--b", "0", "--resolution", "3"],
+         {"exact"}),
+        (["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
+         {"moves"}),
+        (["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
+         {"moves"}),
+        (["classify", "equal", "--manifold", "s1xs3",
+          "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
+          "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
+         {"moves"}),
+    ], ids=["snf", "link-tau", "k-group", "fiber-enumerate", "classify-equal"])
+    def test_command(self, argv, absent):
+        loaded = emb7_modules_after(*argv)
+        assert not loaded & {f"emb7.{m}" for m in absent}
+
+
+class TestBarePackage:
+    def test_import_exposes_only_the_version(self):
+        script = ("import json, emb7\n"
+                  "print(json.dumps([n for n in dir(emb7)\n"
+                  "                  if not n.startswith('_')]))\n")
+        out = fresh_python("-c", script, check=True)
+        assert json.loads(out.stdout) == []
+
+    def test_version_matches_pyproject(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:
+            found = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(),
+                              re.MULTILINE)
+        assert found and emb7.__version__ == found.group(1)
+
+
+class TestUnvalidatedDataIsRefused:
+    """The exact layer trusts its data to have passed `validate`; a file
+    whose P is not unimodular is refused before any Smith form is taken."""
+
+    @pytest.mark.parametrize("argv", [
+        ["k-group", "--u", "[]", "--L", "[[3]]"],
+        ["fiber", "--L", "[[3]]"],
+        ["classify", "equal",
+         "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
+         "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
+    ], ids=["k-group", "fiber", "classify-equal"])
+    def test_p_not_unimodular(self, capsys, monkeypatch, tmp_path, argv):
+        import emb7.exact
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("smith_normal_form reached")
+
+        monkeypatch.setattr(emb7.exact, "smith_normal_form", unreachable)
+        obj = to_json(builtin("s1xs3"))
+        obj["P"] = [["2"]]
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(obj))
+        code, payload = run_json(capsys, *argv, "--manifold", str(path))
+        assert code == 1
+        assert payload["error"] == "manifold data is invalid"
+        assert any(v.startswith("P is not unimodular")
+                   for v in payload["violations"])
