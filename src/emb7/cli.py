@@ -36,8 +36,6 @@ def _load_manifold(source: str):
     from . import manifolds
     if source in manifolds.BUILTIN_NAMES:
         return manifolds.builtin(source)
-    if not os.path.exists(source):
-        raise FileNotFoundError(source)
     with open(source) as fh:
         data = manifolds.from_json(_json_loads(fh.read()))
     violations = manifolds.validate(data)
@@ -480,7 +478,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         _emit(exc.payload)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"emb7: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # classify.BetaUnknownError among them

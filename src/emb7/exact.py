@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, solving over Z and Z_d,
+"""Exact integer linear algebra: Smith normal form, unimodular inverses,
 presentations of finitely generated abelian groups, and canonical coset
 representatives.
 
@@ -10,9 +10,8 @@ touches floating point or fixed-width machine words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 
 class IntMatrix:
@@ -283,24 +282,19 @@ def _gcdext(a: int, b: int) -> tuple:
 
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
-    """A quotient Z^n / <columns of `relations`> in invariant-factor form.
+    """A quotient Z^n / R in invariant-factor form.
 
     `invariant_factors` has length `ambient_rank`; factor 0 encodes an
     infinite cyclic summand.  `projection` is a unimodular matrix carrying
     ambient coordinates to factor coordinates, so membership in the relation
-    subgroup is exactly "all factor coordinates vanish modulo their factor".
-    Only checks read `relations`, so it is built on first read by
-    `build_relations`.
+    subgroup R is exactly "all factor coordinates vanish modulo their
+    factor".  The relations themselves are not kept: every answer reads the
+    factors and the projection alone.
     """
 
     ambient_rank: int
-    build_relations: Callable[[], IntMatrix] = field(repr=False, compare=False)
     invariant_factors: tuple
     projection: IntMatrix
-
-    @cached_property
-    def relations(self) -> IntMatrix:
-        return self.build_relations()
 
     def order(self) -> Optional[int]:
         """Group order, or None when some factor is infinite."""
@@ -313,7 +307,7 @@ class AbelianGroupPresentation:
 
 
 def coset_normal_form(G: AbelianGroupPresentation, v: Sequence[int]) -> tuple:
-    """Canonical factor coordinates of v + <relations>.
+    """Canonical factor coordinates of the coset v + R.
 
     Coordinates sit in [0, d) for each finite factor d and are left whole for
     infinite factors, so two vectors agree exactly when they differ by an
@@ -323,68 +317,6 @@ def coset_normal_form(G: AbelianGroupPresentation, v: Sequence[int]) -> tuple:
         raise ValueError(f"vector length {len(v)} != ambient rank {G.ambient_rank}")
     p = G.projection.apply(v)
     return tuple(x % d if d else x for x, d in zip(p, G.invariant_factors))
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    particular: tuple
-    kernel: tuple  # tuple of basis vectors
-
-
-def solve_linear(A: IntMatrix, b: Sequence[int],
-                 modulus: Optional[int] = None) -> Optional[LinearSolution]:
-    """Solve A x = b over Z, or over Z_modulus when a modulus is given.
-
-    Returns a particular solution and a generating set for the kernel, or
-    None when no solution exists.  Results are checked by substitution
-    before being returned.
-    """
-    if len(b) != A.rows:
-        raise ValueError(f"vector length {len(b)} != rows {A.rows}")
-    if modulus is not None:
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        return _solve_mod(A, b, modulus)
-
-    res = smith_normal_form(A)
-    c = res.U.apply(b)
-    diag = res.diagonal()
-    n = A.cols
-    y = [0] * n
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if ci % d:
-                return None
-            y[i] = ci // d
-        elif ci:
-            return None
-    x = res.V.apply(y)
-    kernel = tuple(res.V.column(j) for j in range(n)
-                   if j >= len(diag) or diag[j] == 0)
-    assert A.apply(x) == tuple(b)
-    assert all(A.apply(k) == (0,) * A.rows for k in kernel)
-    return LinearSolution(particular=x, kernel=kernel)
-
-
-def _solve_mod(A: IntMatrix, b: Sequence[int], m: int) -> Optional[LinearSolution]:
-    # A x == b (mod m)  <=>  [A | m*I] (x, t) == b over Z.
-    rows, n = A.rows, A.cols
-    aug = IntMatrix([list(A.row(i)) + [m if j == i else 0 for j in range(rows)]
-                     for i in range(rows)], cols=n + rows)
-    sol = solve_linear(aug, b)
-    if sol is None:
-        return None
-    x = tuple(c % m for c in sol.particular[:n])
-    gens = []
-    seen = set()
-    for k in sol.kernel:
-        g = tuple(c % m for c in k[:n])
-        if any(g) and g not in seen:
-            seen.add(g)
-            gens.append(g)
-    assert all((s - t) % m == 0 for s, t in zip(A.apply(x), b))
-    return LinearSolution(particular=x, kernel=tuple(gens))
 
 
 def inverse_unimodular(P: IntMatrix) -> IntMatrix:

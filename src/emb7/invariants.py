@@ -5,8 +5,8 @@ bilinear form L on H3 (lambda, given as the matrix of values on basis
 pairs), and a coset beta in the group K_{u,L} = H1 / (2*adjoint(L)(H3) +
 div(u)*H1).  This module provides the admissibility predicate and box
 enumeration for u, the u-symmetry condition tying u and L together, the
-adjoint and the K-group, and the parity criteria derived from L (regular
-homotopy, the mod-2 diagonal class W, the compression necessary condition).
+K-group, and the parity criteria derived from L (regular homotopy, the
+mod-2 diagonal class W, the compression necessary condition).
 
 Two shortcuts keep the fiber computations small:
 
@@ -20,7 +20,8 @@ Two shortcuts keep the fiber computations small:
   These factors already form a divisibility chain with zeros last, so they
   are the invariant factors of the relations.  The row operations start
   from P (`smith_normal_form(L, left=P)`), so neither P^-1 nor the product
-  U_L P is formed, and the relation matrix is built only when read.
+  U_L P is formed, and the relation matrix is never built: K is its
+  factors and its projection.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
@@ -35,17 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exact
-from .exact import (AbelianGroupPresentation, IntMatrix, solve_linear,
-                    vector_gcd)
+from .exact import AbelianGroupPresentation, IntMatrix, vector_gcd
 from .manifolds import ManifoldData
-
-# A kappa value is a plain integer vector in H2 coordinates; a lambda form
-# is the b3 x b3 IntMatrix of its values on basis pairs.
-KappaValue = tuple
-LambdaForm = IntMatrix
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -144,24 +139,12 @@ def base_lambda(data: ManifoldData, u: Sequence[int]) -> IntMatrix:
                       for j in range(data.b3)], cols=data.b3)
 
 
-def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
-    """The matrix of the adjoint homomorphism H3 -> H1, i.e. the unique
-    Lambda with L = P @ Lambda."""
-    if L.shape != (data.b3, data.b3):
-        raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
-    return exact.inverse_unimodular(data.P) @ L
-
-
-def _k_presentation(res: exact.SNFResult, b1: int, d: int,
-                    adjoint: Callable[[], IntMatrix]) -> AbelianGroupPresentation:
-    """K from a Smith reduction with the adjoint's diagonal and projection;
-    the relations [2*Lambda | d*I] are built from `adjoint()` on read."""
+def _k_presentation(res: exact.SNFResult, b1: int,
+                    d: int) -> AbelianGroupPresentation:
+    """K from a Smith reduction with the adjoint's diagonal and projection."""
     s = res.diagonal() + (0,) * (b1 - min(res.D.shape))
     return AbelianGroupPresentation(
         ambient_rank=b1,
-        build_relations=lambda: IntMatrix(
-            [[2 * x for x in row] + [d if i == j else 0 for j in range(b1)]
-             for i, row in enumerate(adjoint().data)], cols=res.D.cols + b1),
         invariant_factors=tuple(math.gcd(2 * si, d) for si in s),
         projection=res.U,
     )
@@ -169,11 +152,10 @@ def _k_presentation(res: exact.SNFResult, b1: int, d: int,
 
 def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
     """Quotient of H1 by the columns of 2*lam together with d*identity,
-    from the Smith form of lam alone; `relations` is [2*lam | d*I]."""
+    from the Smith form of lam alone."""
     # looked up on the module so that a wrapper installed on
     # exact.smith_normal_form at run time also sees this call
-    return _k_presentation(exact.smith_normal_form(lam), lam.rows, d,
-                           lambda: lam)
+    return _k_presentation(exact.smith_normal_form(lam), lam.rows, d)
 
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
@@ -185,19 +167,16 @@ def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)
     res = exact.smith_normal_form(L, left=data.P)
-    return KGroup(group=_k_presentation(res, data.b1, d,
-                                        lambda: lambda_adjoint(data, L)),
-                  d=d)
+    return KGroup(group=_k_presentation(res, data.b1, d), d=d)
 
 
 def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:
-    """The mod-2 class W in H1 coordinates with P @ W = diag(L) mod 2."""
+    """The mod-2 class W in H1 coordinates with P @ W = diag(L) mod 2,
+    i.e. W = P^-1 diag(L) mod 2 (P is unimodular on validated data)."""
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
     diag = [L[i, i] % 2 for i in range(data.b3)]
-    sol = solve_linear(data.P, diag, modulus=2)
-    assert sol is not None  # P unimodular, so invertible mod 2
-    return sol.particular
+    return tuple(x % 2 for x in exact.inverse_unimodular(data.P).apply(diag))
 
 
 def regular_homotopy_equivalent(L0: IntMatrix, L1: IntMatrix) -> bool:

@@ -37,6 +37,10 @@ class UnconvergedError(RuntimeError):
     """Quadrature residual too large; raise the resolution."""
 
 
+# Step of the central differences taken when a cycle has no frame Jacobian.
+_FD_STEP = 1e-5
+
+
 @dataclass
 class ParamCycle:
     """A smooth parametrized oriented 3-cycle in R^7.
@@ -44,14 +48,12 @@ class ParamCycle:
     `evaluator` maps unit quaternions (..., 4) to points (..., 7).
     `frame_jacobian`, when given, returns the (..., 3, 7) derivative along
     the orthonormal tangent frame (x*i, x*j, x*k); otherwise central
-    differences along those directions are used with step `fd_step`.
+    differences along those directions are used with step `_FD_STEP`.
     """
 
     evaluator: Callable
     frame_jacobian: Optional[Callable] = None
     orientation: int = 1
-
-    fd_step: float = 1e-5
 
     def positions(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -59,7 +61,7 @@ class ParamCycle:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         if self.frame_jacobian is not None:
             return self.frame_jacobian(x)
-        h = self.fd_step
+        h = _FD_STEP
         rows = []
         for q in (quat.QI, quat.QJ, quat.QK):
             step = math.cos(h) * quat.QONE + math.sin(h) * q
@@ -71,8 +73,7 @@ class ParamCycle:
     def reversed(self) -> "ParamCycle":
         return ParamCycle(evaluator=self.evaluator,
                           frame_jacobian=self.frame_jacobian,
-                          orientation=-self.orientation,
-                          fd_step=self.fd_step)
+                          orientation=-self.orientation)
 
 
 @dataclass(frozen=True)
@@ -143,43 +144,6 @@ def _min_cross_distance(px: np.ndarray, py: np.ndarray,
               - 2.0 * (a @ py.T))
         best = min(best, float(d2.min()))
     return math.sqrt(max(best, 0.0))
-
-
-def _lipschitz_estimate(cycle: ParamCycle, pts: np.ndarray) -> float:
-    J = cycle.jacobian(pts)                       # (N, 3, 7)
-    gram = np.einsum("nai,nbi->nab", J, J)        # (N, 3, 3)
-    top = np.linalg.eigvalsh(gram)[..., -1]
-    # sampled spectral norm with a smoothness safety margin
-    return 1.25 * float(np.sqrt(np.max(top)))
-
-
-def certify_separation(X: ParamCycle, Y: ParamCycle,
-                       min_sep: float = 1e-9) -> float:
-    """Lower bound on the distance between the cycle images.
-
-    Dense sampling with Lipschitz padding: the sampled minimum distance
-    minus (derivative bound) * (covering radius).  The derivative bound is
-    a sampled estimate with a 1.25 margin; callers holding a rigorous
-    bound should certify themselves and pass `separation` to
-    linking_number.  Raises SeparationError when no positive bound is
-    reached.
-    """
-    bound = -math.inf
-    for m in (8, 12, 16, 24):
-        pts, radius = _midpoint_grid_points(m)
-        px = X.positions(pts)
-        py = Y.positions(pts)
-        dmin = _min_cross_distance(px, py)
-        if dmin <= min_sep:
-            # sampled images already touch; refinement cannot help
-            break
-        pad = radius * (_lipschitz_estimate(X, pts)
-                        + _lipschitz_estimate(Y, pts))
-        bound = max(bound, dmin - pad)
-        if bound > min_sep:
-            return bound
-    raise SeparationError(
-        f"could not certify a positive separation (best bound {bound:.3g})")
 
 
 # Unit-sphere cycles with both 4-blocks of norm 1/sqrt(2) stay this far
@@ -326,19 +290,20 @@ class LinkResult:
 
 def linking_number(X: ParamCycle, Y: ParamCycle,
                    resolution: int = DEFAULT_RESOLUTION,
-                   require_convergence: bool = True,
-                   separation: Optional[float] = None) -> LinkResult:
+                   require_convergence: bool = True, *,
+                   separation: float) -> LinkResult:
     """Linking number of two disjoint 3-cycles as a certified rounding of
     the Gauss-map degree integral.
 
-    A caller holding its own certified positive `separation` may pass it
-    to skip the sampling certification.  Raises SeparationError when
-    disjointness cannot be certified and, if `require_convergence`,
-    UnconvergedError when the estimate is not within 0.25 of an integer.
+    `separation` is always the caller's certified lower bound on the
+    distance between the two images (`tau_fiber_separation` for the tau
+    fibers); it is checked for sign and carried into the result, and no
+    certification happens here.  Raises SeparationError when it is not
+    positive and, if `require_convergence`, UnconvergedError when the
+    estimate is not within 0.25 of an integer.
     """
-    if separation is not None and separation <= 0:
+    if separation <= 0:
         raise SeparationError("caller-supplied separation is not positive")
-    sep = separation if separation is not None else certify_separation(X, Y)
     grid = hopf_grid(resolution)
     fx, dfx, wx = _cycle_nodes(X, grid)
     fy, dfy, wy = _cycle_nodes(Y, grid)
@@ -352,7 +317,7 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
             f"estimate {estimate:.6f} is not near an integer; "
             f"raise the resolution (currently {resolution})")
     return LinkResult(estimate=estimate, value=value, residual=residual,
-                      separation=sep, resolution=resolution)
+                      separation=separation, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import emb7
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
-                        inverse_unimodular, smith_normal_form, solve_linear)
+                        inverse_unimodular, smith_normal_form)
 from emb7.manifolds import ManifoldData, builtin, validate
 
 
@@ -40,10 +40,26 @@ def cokernel(ambient_rank: int, relations: IntMatrix) -> AbelianGroupPresentatio
     factors = tuple(diag) + (0,) * (ambient_rank - len(diag))
     return AbelianGroupPresentation(
         ambient_rank=ambient_rank,
-        build_relations=lambda: relations,
         invariant_factors=factors,
         projection=res.U,
     )
+
+
+def k_relations(lam: IntMatrix, d: int) -> IntMatrix:
+    """The full relation matrix [2*lam | d*I] of the K-group of (lam, d)."""
+    b1 = lam.rows
+    return IntMatrix(
+        [[2 * x for x in row] + [d if i == j else 0 for j in range(b1)]
+         for i, row in enumerate(lam.data)], cols=lam.cols + b1)
+
+
+def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
+    """The matrix of the adjoint homomorphism H3 -> H1, i.e. the unique
+    Lambda with L = P @ Lambda: the oracle for the K-group route, which
+    never forms P^-1."""
+    if L.shape != (data.b3, data.b3):
+        raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
+    return inverse_unimodular(data.P) @ L
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 14) -> IntMatrix:
@@ -87,11 +103,11 @@ def random_form_manifold(rng: random.Random, b2: int,
     m = random_unimodular(rng, b2)
     d = IntMatrix.diagonal(signs)
     q = m.T @ d @ m
-    # Wu: w2 solves Q w2 = diag(Q) mod 2 (det Q is odd, so always solvable)
-    sol = solve_linear(q, [q[i, i] % 2 for i in range(b2)], modulus=2)
+    # Wu: w2 solves Q w2 = diag(Q) mod 2, so w2 = Q^-1 diag(Q) mod 2
+    w2 = inverse_unimodular(q).apply([q[i, i] % 2 for i in range(b2)])
     data = ManifoldData(b1=0, b2=b2, b3=0, Q=q, P=IntMatrix.zeros(0, 0),
                         T=tuple(IntMatrix.zeros(0, 0) for _ in range(b2)),
-                        w2=sol.particular, sigma=sum(signs),
+                        w2=tuple(x % 2 for x in w2), sigma=sum(signs),
                         name=f"random-form-{b2}")
     assert not validate(data)
     return data

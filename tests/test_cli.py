@@ -30,6 +30,17 @@ class TestExitCodes:
         assert out == ""
         assert "missing.json" in err
 
+    @pytest.mark.parametrize("command", [
+        ("validate",),
+        ("k-group", "--u", "[]", "--L", "[[3]]", "--manifold"),
+    ])
+    def test_directory_is_usage_error(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("emb7: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(capsys, "tau", "equal", "1", "2", "--frob")[0] == 2
 

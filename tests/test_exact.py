@@ -8,7 +8,7 @@ from conftest import (cokernel, random_matrix, random_symmetric,
                       random_unimodular)
 from emb7.exact import (IntMatrix, coset_normal_form, det_signature,
                         inverse_unimodular, signature, smith_normal_form,
-                        solve_linear, vector_gcd)
+                        vector_gcd)
 
 small_matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
@@ -192,62 +192,6 @@ class TestCosetNormalForm:
             for j in range(R.cols):
                 shifted = tuple(a + b for a, b in zip(v, R.column(j)))
                 assert coset_normal_form(G, shifted) == nf
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        sol = solve_linear(IntMatrix.identity(2), (4, -1))
-        assert sol.particular == (4, -1)
-        assert sol.kernel == ()
-
-    def test_parity_obstruction(self):
-        assert solve_linear(IntMatrix([[2]]), (3,)) is None
-
-    def test_mod5(self):
-        sol = solve_linear(IntMatrix([[2]]), (3,), modulus=5)
-        assert sol.particular == (4,)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_linear(IntMatrix.identity(2), (1, 2, 3))
-
-    def test_substitution(self, rng):
-        hits = 0
-        for _ in range(120):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            A = random_matrix(rng, m, n, bound=6)
-            b = tuple(rng.randint(-12, 12) for _ in range(m))
-            sol = solve_linear(A, b)
-            if sol is None:
-                continue
-            hits += 1
-            assert A.apply(sol.particular) == b
-            for k in sol.kernel:
-                assert A.apply(k) == (0,) * m
-        assert hits > 10
-
-    def test_solvable_systems(self, rng):
-        # build b inside the image so a solution must exist
-        for _ in range(60):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            A = random_matrix(rng, m, n, bound=6)
-            x = tuple(rng.randint(-5, 5) for _ in range(n))
-            sol = solve_linear(A, A.apply(x))
-            assert sol is not None
-
-    def test_mod_substitution(self, rng):
-        for _ in range(60):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
-            modulus = rng.choice((2, 3, 4, 5, 12))
-            A = random_matrix(rng, m, n, bound=6)
-            x = tuple(rng.randint(-5, 5) for _ in range(n))
-            b = tuple(v % modulus for v in A.apply(x))
-            sol = solve_linear(A, b, modulus=modulus)
-            assert sol is not None
-            got = A.apply(sol.particular)
-            assert all((g - want) % modulus == 0 for g, want in zip(got, b))
-            for k in sol.kernel:
-                assert all(v % modulus == 0 for v in A.apply(k))
 
 
 class TestAuxiliary:
