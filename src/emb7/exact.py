@@ -25,7 +25,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(int, row)) for row in data)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -60,9 +60,6 @@ class IntMatrix:
     def __getitem__(self, key) -> int:
         i, j = key
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def column(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -152,7 +149,9 @@ class SNFResult:
 
     U and V are unimodular; D is diagonal, non-negative, and each diagonal
     entry divides the next (zeros come last).  When the reduction started
-    from a `left` matrix, U holds U_A @ left and V is None.
+    from a `left` matrix, U holds U_A @ left and V is None.  A reduction
+    over Z/m (`modulus`) keeps V None and every entry of U in [0, m), and
+    its D holds divisors of m (see `smith_normal_form`).
     """
 
     U: IntMatrix
@@ -177,8 +176,8 @@ def _pivot(a, m, n, t):
     return best
 
 
-def smith_normal_form(A: IntMatrix,
-                      left: Optional[IntMatrix] = None) -> SNFResult:
+def smith_normal_form(A: IntMatrix, left: Optional[IntMatrix] = None,
+                      modulus: int = 0) -> SNFResult:
     """Smith normal form with unimodular transforms.
 
     Pivoting always picks the smallest-absolute-value nonzero entry (ties by
@@ -189,22 +188,43 @@ def smith_normal_form(A: IntMatrix,
     `left` instead of the identity, so U comes back as U_A @ left, and V is
     not tracked (None): a caller that presents Z^n / A through a unimodular
     change of basis `left` gets the composed projection without a product.
+
+    With a `modulus` m > 0 the same elimination runs over Z/m (Storjohann,
+    ISSAC 1996): A and the start of U are reduced mod m, every entry stays
+    in [0, m), and each diagonal entry t is replaced by gcd(t, m), which
+    generates the same ideal of Z/m.  D then holds divisors of m in a
+    divisibility chain, m standing for a zero diagonal entry, so the
+    cokernel of A over Z/m is the sum of the Z/D_ii (and a Z/m for each row
+    beyond min(A.rows, A.cols)), with U as its projection.  V is not
+    tracked.  modulus = 0 means over Z.
     """
     m, n = A.rows, A.cols
     if left is not None and left.rows != m:
         raise ValueError(f"left has {left.rows} rows, A has {m}")
+    if modulus < 0:
+        raise ValueError(f"modulus {modulus} is negative")
     a = [list(r) for r in A.data]
     u = [list(r) for r in (IntMatrix.identity(m) if left is None else left).data]
+    if modulus:
+        a = [[x % modulus for x in r] for r in a]
+        u = [[x % modulus for x in r] for r in u]
     # V, when not tracked, is an empty list of rows that every step skips
-    v = [list(r) for r in IntMatrix.identity(n).data] if left is None else []
+    track_v = left is None and not modulus
+    v = [list(r) for r in IntMatrix.identity(n).data] if track_v else []
 
     def row_sub(i, t, q):
         a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        if modulus:
+            a[i] = [x % modulus for x in a[i]]
+            u[i] = [x % modulus for x in u[i]]
 
     def col_sub(j, t, q):
         for row in a + v:
             row[j] -= q * row[t]
+        if modulus:
+            for row in a:
+                row[j] %= modulus
 
     rank = min(m, n)
     for t in range(rank):
@@ -232,9 +252,12 @@ def smith_normal_form(A: IntMatrix,
         if piv is None:
             break
 
-    # Non-negative diagonal: absorb signs into U.
     for t in range(rank):
-        if a[t][t] < 0:
+        if modulus:
+            # t and gcd(t, m) differ by a unit of Z/m
+            a[t][t] = math.gcd(a[t][t], modulus)
+        elif a[t][t] < 0:
+            # non-negative diagonal: absorb signs into U
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
 
@@ -252,6 +275,9 @@ def smith_normal_form(A: IntMatrix,
             for k in range(len(ui)):
                 ui[k], uj[k] = x * ui[k] + y * uj[k], \
                     -(dj // g) * ui[k] + (di // g) * uj[k]
+            if modulus:
+                u[i] = [c % modulus for c in ui]
+                u[j] = [c % modulus for c in uj]
             for row in v:
                 row[i], row[j] = row[i] + row[j], \
                     -(y * dj // g) * row[i] + (x * di // g) * row[j]
@@ -262,7 +288,7 @@ def smith_normal_form(A: IntMatrix,
     D = IntMatrix([[a[i][j] if i == j else 0 for j in range(n)]
                    for i in range(m)], cols=n)
     return SNFResult(U=IntMatrix(u, cols=m if left is None else left.cols),
-                     D=D, V=IntMatrix(v, cols=n) if left is None else None)
+                     D=D, V=IntMatrix(v, cols=n) if track_v else None)
 
 
 def _gcdext(a: int, b: int) -> tuple:

@@ -10,18 +10,22 @@ mod-2 diagonal class W, the compression necessary condition).
 
 Two shortcuts keep the fiber computations small:
 
-- The K-group comes from one Smith form, of L itself.  P is unimodular
+- The K-group comes from one Smith form, of 2L.  P is unimodular
   (`validate` checks this on every file load) and L = P Lambda, so
-  U_L L V = S gives (U_L P) Lambda V = S: Lambda has the Smith diagonal s
-  of L, and U = U_L P is its projection onto factor coordinates.  The
-  invertible U carries the relations [2*Lambda | d*I] onto the columns of
-  [2S | d*I] (V and U^-1 only recombine columns), so K is the sum of the
-  cyclic groups Z/gcd(2 s_i, d), with s padded by zeros to length b1.
-  These factors already form a divisibility chain with zeros last, so they
-  are the invariant factors of the relations.  The row operations start
-  from P (`smith_normal_form(L, left=P)`), so neither P^-1 nor the product
-  U_L P is formed, and the relation matrix is never built: K is its
-  factors and its projection.
+  U_L (2L) V = T gives (U_L P)(2 Lambda) V = T: U = U_L P carries the
+  relations [2 Lambda | d*I] onto the columns of [T | d*I] (V and U^-1
+  only recombine columns), so K is the sum of the cyclic groups
+  Z/gcd(t_i, d), with t padded by zeros to length b1.  For d != 0 every
+  such factor divides d, so the reduction runs over Z/d
+  (`smith_normal_form(2L, left=P, modulus=d)`): 2L and P are reduced mod
+  d, each t_i is replaced by gcd(t_i, d), the factors are put into a
+  divisibility chain, and every entry of the projection U stays in
+  [0, d).  For d = 2, 2L is 0 mod 2 and nothing is eliminated.  For
+  d = 0 the reduction runs over Z, with integer transforms, and the
+  factors are t_i = 2 s_i for the Smith diagonal s of L.  Either way the
+  row operations start from P, so neither P^-1 nor the product U_L P is
+  formed, and the relation matrix is never built: K is its factors and
+  its projection.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
@@ -34,7 +38,6 @@ Two shortcuts keep the fiber computations small:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,7 +54,7 @@ class KGroup:
 
     The group is H1 modulo the columns of 2*Lambda together with d times
     the identity, where Lambda is the adjoint of L and d = divisibility(u);
-    it is computed from the Smith form of L (see the module docstring).
+    it is computed from the Smith form of 2L (see the module docstring).
     """
 
     group: AbelianGroupPresentation
@@ -123,8 +126,10 @@ def is_symmetric_pair(data: ManifoldData, u: Sequence[int],
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
     t = data.triple_contraction(u)
-    return all(L[k, j] - L[j, k] == t[j, k]
-               for j in range(data.b3) for k in range(data.b3))
+    # row j of L^T - L against row j of t
+    return all(x - y == z
+               for col, row, trow in zip(zip(*L.data), L.data, t.data)
+               for x, y, z in zip(col, row, trow))
 
 
 def base_lambda(data: ManifoldData, u: Sequence[int]) -> IntMatrix:
@@ -139,35 +144,35 @@ def base_lambda(data: ManifoldData, u: Sequence[int]) -> IntMatrix:
                       for j in range(data.b3)], cols=data.b3)
 
 
-def _k_presentation(res: exact.SNFResult, b1: int,
-                    d: int) -> AbelianGroupPresentation:
-    """K from a Smith reduction with the adjoint's diagonal and projection."""
-    s = res.diagonal() + (0,) * (b1 - min(res.D.shape))
-    return AbelianGroupPresentation(
-        ambient_rank=b1,
-        invariant_factors=tuple(math.gcd(2 * si, d) for si in s),
-        projection=res.U,
-    )
-
-
-def k_group_presentation(lam: IntMatrix, d: int) -> "AbelianGroupPresentation":
-    """Quotient of H1 by the columns of 2*lam together with d*identity,
-    from the Smith form of lam alone."""
+def k_group_presentation(L: IntMatrix, d: int,
+                         P: Optional[IntMatrix] = None) -> AbelianGroupPresentation:
+    """Quotient of H1 by the columns of 2*Lambda together with d*identity,
+    where Lambda = P^-1 L (P defaults to the identity, so L is Lambda), from
+    one Smith reduction of 2L started from P: over Z/d for d != 0, over Z
+    for d = 0 (see the module docstring)."""
+    left = IntMatrix.identity(L.rows) if P is None else P
+    twice = IntMatrix([[2 * x for x in row] for row in L.data], cols=L.cols)
     # looked up on the module so that a wrapper installed on
     # exact.smith_normal_form at run time also sees this call
-    return _k_presentation(exact.smith_normal_form(lam), lam.rows, d)
+    res = exact.smith_normal_form(twice, left=left, modulus=d)
+    # rows beyond min(b1, b3) meet no column of 2L, only d: factor gcd(0, d)
+    pad = (d,) * (left.cols - min(res.D.shape))
+    return AbelianGroupPresentation(ambient_rank=left.cols,
+                                    invariant_factors=res.diagonal() + pad,
+                                    projection=res.U)
 
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
     """The beta value group for the fiber over (u, L), from one Smith
-    reduction of L started from P (see the module docstring).  Expects data
-    that passed `validate`: for a P that is not unimodular the factors are
-    wrong, and no check here says so."""
+    reduction of 2L started from P: over Z/d for d = divisibility(u) != 0,
+    so every entry of the projection lies in [0, d), and over Z for d = 0
+    (see the module docstring).  Expects data that passed `validate`: for
+    a P that is not unimodular the factors are wrong, and no check here
+    says so."""
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)
-    res = exact.smith_normal_form(L, left=data.P)
-    return KGroup(group=_k_presentation(res, data.b1, d), d=d)
+    return KGroup(group=k_group_presentation(L, d, data.P), d=d)
 
 
 def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:

@@ -23,7 +23,13 @@ def decode_int(obj) -> int:
 
 
 def encode_int(x: int) -> str:
-    return str(int(x))
+    x = int(x)
+    try:
+        return str(x)
+    except ValueError:
+        # Python refuses decimal strings beyond sys.get_int_max_str_digits()
+        raise ValueError(f"result is too large to print: an integer has "
+                         f"{x.bit_length()} bits") from None
 
 
 def decode_vector(obj) -> tuple:

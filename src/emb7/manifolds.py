@@ -43,10 +43,8 @@ class ManifoldData:
         out = [[0] * self.b3 for _ in range(self.b3)]
         for ui, slice_ in zip(u, self.T):
             if ui:
-                for j in range(self.b3):
-                    row = slice_.row(j)
-                    for k in range(self.b3):
-                        out[j][k] += ui * row[k]
+                out = [[o + ui * x for o, x in zip(orow, srow)]
+                       for orow, srow in zip(out, slice_.data)]
         return IntMatrix(out, cols=self.b3)
 
 
@@ -77,8 +75,8 @@ def validate(data: ManifoldData) -> list:
         for i, slice_ in enumerate(data.T):
             if slice_.shape != (b3, b3):
                 v.append(f"T[{i}] has shape {slice_.shape}, expected {(b3, b3)}")
-            elif any(slice_[j, k] != -slice_[k, j]
-                     for j in range(b3) for k in range(j + 1)):
+            elif any(x != -y for row, col in zip(slice_.data, zip(*slice_.data))
+                     for x, y in zip(row, col)):
                 v.append(f"T[{i}] is not antisymmetric in its last two indices")
     if len(data.w2) != b2 or any(bit not in (0, 1) for bit in data.w2):
         v.append(f"w2 must be {b2} bits")

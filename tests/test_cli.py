@@ -41,6 +41,25 @@ class TestExitCodes:
         assert err.startswith("emb7: ") and str(tmp_path) in err
         assert "Traceback" not in err
 
+    def test_enum_cap_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("EMB7_ENUM_CAP", "abc")
+        code, out, err = run(capsys, "kappa-enum", "--manifold", "s2xs2",
+                             "--bound", "1")
+        assert code == 1 and err == ""
+        assert "EMB7_ENUM_CAP" in json.loads(out)["error"]
+
+    def test_result_too_large_to_print(self, capsys):
+        nines = "9" * 2500
+        code, out, err = run(
+            capsys, "move", "apply", "--manifold", "t2xs2",
+            "--class", '{"u":[0,0],"L":[[0,0],[0,0]],"beta":[0,0]}',
+            "--move", f"{nines},0,{nines},1")
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1
+        message = json.loads(out)["error"]
+        assert message.startswith("result is too large to print")
+        assert "set_int_max_str_digits" not in message
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(capsys, "tau", "equal", "1", "2", "--frob")[0] == 2
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (cokernel, random_matrix, random_symmetric,
                       random_unimodular)
-from emb7.exact import (IntMatrix, coset_normal_form, det_signature,
+from emb7.exact import (AbelianGroupPresentation, IntMatrix,
+                        coset_normal_form, det_signature,
                         inverse_unimodular, signature, smith_normal_form,
                         vector_gcd)
 
@@ -122,6 +124,57 @@ class TestSmithLeft:
     def test_left_rows_must_match(self):
         with pytest.raises(ValueError):
             smith_normal_form(IntMatrix([[2, 0]]), left=IntMatrix.identity(2))
+
+
+class TestSmithModulus:
+    """The reduction over Z/m: the cokernel of A over Z/m, with every
+    entry of U in [0, m)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrices, st.integers(1, 30))
+    def test_cokernel_over_z_mod_m(self, A, m):
+        res = smith_normal_form(A, modulus=m)
+        assert res.V is None
+        assert all(0 <= x < m for row in res.U.data for x in row)
+        assert res.U.shape == (A.rows, A.rows)
+        assert math.gcd(res.U.det(), m) == 1
+        relations = IntMatrix([list(row) + [m if i == j else 0
+                                            for j in range(A.rows)]
+                               for i, row in enumerate(A.data)],
+                              cols=A.cols + A.rows)
+        factors = res.diagonal() + (m,) * (A.rows - min(A.shape))
+        assert factors == cokernel(A.rows, relations).invariant_factors
+        G = AbelianGroupPresentation(ambient_rank=A.rows,
+                                     invariant_factors=factors,
+                                     projection=res.U)
+        zero = coset_normal_form(G, (0,) * A.rows)
+        for j in range(relations.cols):
+            assert coset_normal_form(G, relations.column(j)) == zero
+
+    def test_chain_step_over_z_mod_m(self):
+        # gcd(4, 12) = 4 does not divide gcd(6, 12) = 6: Z/4 + Z/6 is
+        # Z/2 + Z/12
+        res = smith_normal_form(IntMatrix([[4, 0], [0, 6]]), modulus=12)
+        assert res.diagonal() == (2, 12)
+        assert all(0 <= x < 12 for row in res.U.data for x in row)
+
+    def test_zero_modulus_is_over_z(self, rng):
+        for _ in range(20):
+            A = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
+            assert smith_normal_form(A, modulus=0) == smith_normal_form(A)
+
+    def test_even_matrix_mod_two_needs_no_elimination(self, rng):
+        P = random_unimodular(rng, 4)
+        A = IntMatrix([[2 * x for x in row] for row in random_matrix(
+            rng, 4, 4).data], cols=4)
+        res = smith_normal_form(A, left=P, modulus=2)
+        assert res.diagonal() == (2, 2, 2, 2)
+        assert res.U.data == tuple(tuple(x % 2 for x in row)
+                                   for row in P.data)
+
+    def test_negative_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form(IntMatrix([[2]]), modulus=-2)
 
 
 class TestCokernel:

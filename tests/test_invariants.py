@@ -277,6 +277,30 @@ def assert_relations_vanish(G, lam: IntMatrix, d: int):
         assert coset_normal_form(G, relations.column(j)) == zero
 
 
+def assert_projection_reduced(G, d: int):
+    """For d != 0 the projection comes from the reduction over Z/d, so
+    every entry lies in [0, d)."""
+    if d:
+        assert all(0 <= x < d for row in G.projection.data for x in row)
+
+
+def assert_coset_decisions_match(rng, G, ref, lam: IntMatrix, d: int):
+    """beta and beta + 2*lam*c + d*e share a coset of G, and G decides
+    equality with a nearby vector as the reference does."""
+    b1, b3 = lam.shape
+    for _ in range(5):
+        beta = [rng.randint(-20, 20) for _ in range(b1)]
+        c = [rng.randint(-4, 4) for _ in range(b3)]
+        e = [rng.randint(-4, 4) for _ in range(b1)]
+        shifted = [x + 2 * y + d * z for x, y, z
+                   in zip(beta, lam.apply(c), e)]
+        assert coset_normal_form(G, beta) == coset_normal_form(G, shifted)
+        other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
+        assert (coset_normal_form(G, beta)
+                == coset_normal_form(G, other)) == \
+            (coset_normal_form(ref, beta) == coset_normal_form(ref, other))
+
+
 def random_adjoint(rng, b1: int, b3: int) -> IntMatrix:
     """A random b1 x b3 matrix whose rows are dependent a third of the
     time (a multiple of another row, or zero)."""
@@ -332,19 +356,8 @@ class TestKGroupOracle:
             ref = reference_k_group_presentation(lam, d)
             assert G.invariant_factors == ref.invariant_factors, (data.P, L)
             assert_relations_vanish(G, lam, d)
-            for _ in range(5):
-                beta = [rng.randint(-20, 20) for _ in range(data.b1)]
-                c = [rng.randint(-4, 4) for _ in range(data.b3)]
-                e = [rng.randint(-4, 4) for _ in range(data.b1)]
-                shifted = [x + 2 * y + d * z for x, y, z
-                           in zip(beta, lam.apply(c), e)]
-                assert coset_normal_form(G, beta) == \
-                    coset_normal_form(G, shifted)
-                other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
-                assert (coset_normal_form(G, beta)
-                        == coset_normal_form(G, other)) == \
-                    (coset_normal_form(ref, beta)
-                     == coset_normal_form(ref, other))
+            assert_projection_reduced(G, d)
+            assert_coset_decisions_match(rng, G, ref, lam, d)
         assert 0 in divisors and len(divisors) > 1
 
     def test_factors_match_full_cokernel(self, rng):
@@ -353,26 +366,32 @@ class TestKGroupOracle:
             ref = reference_k_group_presentation(lam, d)
             assert G.invariant_factors == ref.invariant_factors, (lam, d)
             assert_relations_vanish(G, lam, d)
+            assert_projection_reduced(G, d)
             assert G.ambient_rank == ref.ambient_rank == lam.rows
 
     def test_coset_decisions_match(self, rng):
         for lam, d in random_presentation_pairs(rng, 200):
-            b1, b3 = lam.shape
             G = k_group_presentation(lam, d)
             ref = reference_k_group_presentation(lam, d)
-            for _ in range(5):
-                beta = [rng.randint(-20, 20) for _ in range(b1)]
-                c = [rng.randint(-4, 4) for _ in range(b3)]
-                e = [rng.randint(-4, 4) for _ in range(b1)]
-                shifted = [x + 2 * y + d * z for x, y, z
-                           in zip(beta, lam.apply(c), e)]
-                assert coset_normal_form(G, beta) == \
-                    coset_normal_form(G, shifted)
-                other = [x + rng.choice((0, 0, 1, -1)) for x in shifted]
-                assert (coset_normal_form(G, beta)
-                        == coset_normal_form(G, other)) == \
-                    (coset_normal_form(ref, beta)
-                     == coset_normal_form(ref, other))
+            assert_coset_decisions_match(rng, G, ref, lam, d)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 9, 12, 30])
+    def test_odd_and_composite_d_through_a_pairing(self, rng, d):
+        """The route over Z/d started from a unimodular P other than the
+        identity: L = P lam presents the same group as lam."""
+        twisted = 0
+        for _ in range(40):
+            b1 = rng.randint(1, 5)
+            lam = random_adjoint(rng, b1, rng.randint(0, 5))
+            P = random_unimodular(rng, b1)
+            twisted += P != IntMatrix.identity(b1)
+            G = k_group_presentation(P @ lam, d, P)
+            ref = reference_k_group_presentation(lam, d)
+            assert G.invariant_factors == ref.invariant_factors, (P, lam)
+            assert_relations_vanish(G, lam, d)
+            assert_projection_reduced(G, d)
+            assert_coset_decisions_match(rng, G, ref, lam, d)
+        assert twisted
 
     def test_classes_equal_matches_reference(self, rng):
         data = direct_sum(builtin("t2xs2"), builtin("s1xs3"))
