@@ -28,7 +28,8 @@ class BetaUnknownError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingClass:
-    """An isotopy class modulo knots, coordinatized by its invariants."""
+    """An isotopy class modulo knots, coordinatized by its invariants; u
+    and beta are tuples of ints, taken as they are."""
 
     u: tuple
     L: IntMatrix
@@ -36,10 +37,16 @@ class EmbeddingClass:
     beta_known: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(int(x) for x in self.u))
         if self.beta is not None:
-            object.__setattr__(self, "beta", tuple(int(x) for x in self.beta))
             object.__setattr__(self, "beta_known", True)
+
+
+def _beta(data: ManifoldData, beta: Optional[Sequence[int]]) -> Optional[tuple]:
+    if beta is None:
+        return None
+    if len(beta) != data.b1:
+        raise ValueError(f"beta length {len(beta)} != b1 {data.b1}")
+    return tuple(beta)
 
 
 def embedding_class(data: ManifoldData, u: Sequence[int], L: IntMatrix,
@@ -50,10 +57,15 @@ def embedding_class(data: ManifoldData, u: Sequence[int], L: IntMatrix,
         raise ValueError(f"kappa value {tuple(u)} is not admissible")
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair")
-    if beta is not None and len(beta) != data.b1:
-        raise ValueError(f"beta length {len(beta)} != b1 {data.b1}")
-    return EmbeddingClass(u=tuple(u), L=L,
-                          beta=None if beta is None else tuple(beta))
+    return EmbeddingClass(u=tuple(u), L=L, beta=_beta(data, beta))
+
+
+def same_fiber_class(data: ManifoldData, c: EmbeddingClass,
+                     beta: Optional[Sequence[int]] = None) -> EmbeddingClass:
+    """The class over the (u, L) of c with this beta.  c came from
+    `embedding_class`, so its (u, L) passed the checks there and only beta
+    is checked here."""
+    return EmbeddingClass(u=c.u, L=c.L, beta=_beta(data, beta))
 
 
 def classes_equal(data: ManifoldData, c1: EmbeddingClass,
@@ -78,12 +90,6 @@ def fiber_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
     if not is_kappa_admissible(data, u):
         raise ValueError(f"kappa value {tuple(u)} is not admissible")
     return k_group(data, u, L)
-
-
-def fiber_size(data: ManifoldData, u: Sequence[int],
-               L: IntMatrix) -> Optional[int]:
-    """Number of classes over (u, L), or None when infinite."""
-    return fiber_group(data, u, L).size()
 
 
 @dataclass(frozen=True)

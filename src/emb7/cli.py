@@ -13,6 +13,12 @@ that argv names, each handler imports only the emb7 modules it runs, and
 `import emb7` re-exports nothing.  Cold on a 2-core VM, best of 15,
 `k-group` and `classify equal` each take about 60 ms, against 40 ms for
 `python -c pass` (README).
+
+Each input is decoded once, one pass per array, and `classify equal`
+checks a (u, L) that both classes share once.  In process, building the
+parser and parsing argv is then the largest piece of a call: about
+0.4 ms of a 0.9 ms `classify equal` on the benchmark's genus-6 manifold
+(README).
 """
 
 from __future__ import annotations
@@ -48,11 +54,19 @@ def _load_manifold(source: str):
 
 def _json_loads(text: str):
     """json.loads, with nesting too deep for the decoder reported as the
-    JSONDecodeError that other malformed JSON gets."""
+    JSONDecodeError that other malformed JSON gets, and a number with more
+    digits than Python converts as `jsonio.decode_int` reports it."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # only int() raises anything else: parse again, numbers through
+        # decode_int, which names the digit count and the limit
+        from . import jsonio
+        return json.loads(text, parse_int=jsonio.decode_int)
 
 
 def _parse_json_arg(text: str):
@@ -107,14 +121,18 @@ def _bounded_int(low: int, high=None):
     return parse
 
 
-def _class_payload(data, obj: dict):
+def _class_payload(data, obj: dict, fiber=None):
+    """The class that `obj` gives.  When it has the same u and L as the
+    class `fiber`, which passed `classify.embedding_class`, only its beta
+    is checked."""
     from . import classify, jsonio
+    u = jsonio.decode_vector(obj["u"])
+    L = jsonio.decode_matrix(obj["L"], cols=data.b1)
     beta = obj.get("beta")
-    return classify.embedding_class(
-        data,
-        u=jsonio.decode_vector(obj["u"]),
-        L=jsonio.decode_matrix(obj["L"], cols=data.b1),
-        beta=None if beta is None else jsonio.decode_vector(beta))
+    beta = None if beta is None else jsonio.decode_vector(beta)
+    if fiber is not None and u == fiber.u and L == fiber.L:
+        return classify.same_fiber_class(data, fiber, beta)
+    return classify.embedding_class(data, u, L, beta)
 
 
 def _encode_class(cls) -> dict:
@@ -242,7 +260,7 @@ def _cmd_classify_equal(args):
     from . import classify
     data = _load_manifold(args.manifold)
     c1 = _class_payload(data, args.class1)
-    c2 = _class_payload(data, args.class2)
+    c2 = _class_payload(data, args.class2, fiber=c1)
     eq = classify.classes_equal(data, c1, c2)
     return {"equal": eq, "note": classify.BASEPOINT_NOTE}, 0
 

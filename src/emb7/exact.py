@@ -25,10 +25,20 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(map(int, row)) for row in data)
+        self._set_rows(tuple(tuple(map(int, row)) for row in data), cols)
+
+    @classmethod
+    def from_rows(cls, rows: tuple, cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix with these rows, taken as they are: `rows` must be a
+        tuple of tuples of Python ints, and nothing is converted."""
+        m = cls.__new__(cls)
+        m._set_rows(rows, cols)
+        return m
+
+    def _set_rows(self, rows: tuple, cols: Optional[int]) -> None:
         if rows:
             ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
+            if len(set(map(len, rows))) > 1:
                 raise ValueError("ragged rows")
             if cols is not None and cols != ncols:
                 raise ValueError("cols mismatch")
@@ -114,18 +124,22 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows) for j in range(i))
+        return self.rows == self.cols and tuple(zip(*self.data)) == self.data
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination.
+
+        Step k replaces row i by (p a_i - f a_k) / prev, for the pivot p,
+        the previous pivot prev and f = a_ik.  When f = 0 and p = prev that
+        is the identity, so the row is left alone: on an identity-like
+        matrix the pass costs O(n^2).
+        """
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         n = self.rows
         if n == 0:
             return 1
-        a = [list(r) for r in self.data]
+        a = list(self.data)
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -135,11 +149,14 @@ class IntMatrix:
                     return 0
                 a[k], a[pivot] = a[pivot], a[k]
                 sign = -sign
+            pk = a[k]
+            p = pk[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
+                f = a[i][k]
+                if f or p != prev:
+                    # entries left of k are 0 in both rows and stay 0
+                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], pk)]
+            prev = p
         return sign * a[n - 1][n - 1]
 
 
@@ -285,10 +302,12 @@ def smith_normal_form(A: IntMatrix, left: Optional[IntMatrix] = None,
             a[j][j] = di * dj // g
             di = g
 
-    D = IntMatrix([[a[i][j] if i == j else 0 for j in range(n)]
-                   for i in range(m)], cols=n)
-    return SNFResult(U=IntMatrix(u, cols=m if left is None else left.cols),
-                     D=D, V=IntMatrix(v, cols=n) if track_v else None)
+    D = IntMatrix.from_rows(tuple(tuple([a[i][j] if i == j else 0
+                                         for j in range(n)])
+                                  for i in range(m)), cols=n)
+    U = IntMatrix.from_rows(tuple(map(tuple, u)),
+                            cols=m if left is None else left.cols)
+    return SNFResult(U=U, D=D, V=IntMatrix(v, cols=n) if track_v else None)
 
 
 def _gcdext(a: int, b: int) -> tuple:

@@ -132,18 +132,6 @@ def is_symmetric_pair(data: ManifoldData, u: Sequence[int],
                for x, y, z in zip(col, row, trow))
 
 
-def base_lambda(data: ManifoldData, u: Sequence[int]) -> IntMatrix:
-    """Canonical basepoint form for the fiber over u: strictly lower
-    triangular, with L[j,k] = u.x_k.x_j below the diagonal.
-
-    Antisymmetry of the triple tensor makes this a u-symmetric form, and
-    every other u-symmetric form differs from it by a symmetric matrix.
-    """
-    t = data.triple_contraction(u)
-    return IntMatrix([[t[k, j] if j > k else 0 for k in range(data.b3)]
-                      for j in range(data.b3)], cols=data.b3)
-
-
 def k_group_presentation(L: IntMatrix, d: int,
                          P: Optional[IntMatrix] = None) -> AbelianGroupPresentation:
     """Quotient of H1 by the columns of 2*Lambda together with d*identity,
@@ -151,7 +139,8 @@ def k_group_presentation(L: IntMatrix, d: int,
     one Smith reduction of 2L started from P: over Z/d for d != 0, over Z
     for d = 0 (see the module docstring)."""
     left = IntMatrix.identity(L.rows) if P is None else P
-    twice = IntMatrix([[2 * x for x in row] for row in L.data], cols=L.cols)
+    twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
+                                      for row in L.data), cols=L.cols)
     # looked up on the module so that a wrapper installed on
     # exact.smith_normal_form at run time also sees this call
     res = exact.smith_normal_form(twice, left=left, modulus=d)

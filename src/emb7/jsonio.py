@@ -3,13 +3,21 @@
 Integers are serialized as decimal strings so arbitrary-precision values
 survive consumers that parse JSON numbers into 64-bit types.  Decoding is
 lenient and accepts plain JSON integers as well.
+
+An array whose entries are all `int` (not `bool`) or `str` is converted in
+one pass; any other array goes entry by entry through `decode_int`, which
+gives the same result or names the first bad entry.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Sequence
 
 from .exact import IntMatrix
+
+_INT = frozenset((int,))
+_INT_OR_STR = frozenset((int, str))
 
 
 def decode_int(obj) -> int:
@@ -18,7 +26,16 @@ def decode_int(obj) -> int:
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        return int(obj, 10)
+        try:
+            return int(obj, 10)
+        except ValueError:
+            # Python refuses more digits than sys.get_int_max_str_digits()
+            digits = sum(map(str.isdecimal, obj))
+            limit = sys.get_int_max_str_digits()
+            if not limit or digits <= limit:
+                raise
+            raise ValueError(f"integer too long: {digits} digits, more than "
+                             f"the limit of {limit}") from None
     raise ValueError(f"expected integer or decimal string, got {obj!r}")
 
 
@@ -35,7 +52,15 @@ def encode_int(x: int) -> str:
 def decode_vector(obj) -> tuple:
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"expected array, got {obj!r}")
-    return tuple(decode_int(x) for x in obj)
+    types = set(map(type, obj))
+    if types <= _INT:
+        return tuple(obj)
+    if types <= _INT_OR_STR:
+        try:
+            return tuple(map(int, obj))
+        except ValueError:
+            pass  # decode_int names the entry and the reason
+    return tuple(map(decode_int, obj))
 
 
 def encode_vector(v: Sequence[int]) -> list:
@@ -45,7 +70,7 @@ def encode_vector(v: Sequence[int]) -> list:
 def decode_matrix(obj, cols: Optional[int] = None) -> IntMatrix:
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"expected array of arrays, got {obj!r}")
-    return IntMatrix([decode_vector(row) for row in obj], cols=cols)
+    return IntMatrix.from_rows(tuple(map(decode_vector, obj)), cols=cols)
 
 
 def encode_matrix(M: IntMatrix) -> list:

@@ -10,6 +10,7 @@ signature.  No chain complexes, no triangulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from . import jsonio
@@ -40,12 +41,12 @@ class ManifoldData:
         """The antisymmetric matrix sum_i u_i * T[i] on H3 x H3."""
         if len(u) != self.b2:
             raise ValueError(f"H2 vector length {len(u)} != b2 {self.b2}")
-        out = [[0] * self.b3 for _ in range(self.b3)]
+        out = [(0,) * self.b3] * self.b3
         for ui, slice_ in zip(u, self.T):
             if ui:
-                out = [[o + ui * x for o, x in zip(orow, srow)]
+                out = [tuple([o + ui * x for o, x in zip(orow, srow)])
                        for orow, srow in zip(out, slice_.data)]
-        return IntMatrix(out, cols=self.b3)
+        return IntMatrix.from_rows(tuple(out), cols=self.b3)
 
 
 def validate(data: ManifoldData) -> list:
@@ -75,8 +76,8 @@ def validate(data: ManifoldData) -> list:
         for i, slice_ in enumerate(data.T):
             if slice_.shape != (b3, b3):
                 v.append(f"T[{i}] has shape {slice_.shape}, expected {(b3, b3)}")
-            elif any(x != -y for row, col in zip(slice_.data, zip(*slice_.data))
-                     for x, y in zip(row, col)):
+            elif any(any(map(add, row, col))
+                     for row, col in zip(slice_.data, zip(*slice_.data))):
                 v.append(f"T[{i}] is not antisymmetric in its last two indices")
     if len(data.w2) != b2 or any(bit not in (0, 1) for bit in data.w2):
         v.append(f"w2 must be {b2} bits")

@@ -13,7 +13,6 @@ The torus calculus itself (l, b) has the normal form b mod 2|l|.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .classify import EmbeddingClass
 from .exact import IntMatrix, inverse_unimodular
@@ -51,23 +50,6 @@ def apply_move(data: ManifoldData, cls: EmbeddingClass, move: Move) -> Embedding
         beta = tuple(x + move.b * si for x, si in zip(cls.beta, move.s))
         return replace(cls, L=L, beta=beta, beta_known=True)
     return replace(cls, L=L, beta=None, beta_known=False)
-
-
-def net_lambda_effect(data: ManifoldData, moves: Sequence) -> IntMatrix:
-    """Total lambda change sum_i l_i (P s_i)(P s_i)^T of a move list.
-
-    Accepts (s, l) pairs or Move instances; b plays no role here.
-    """
-    out = [[0] * data.b3 for _ in range(data.b3)]
-    for mv in moves:
-        s, l = (mv.s, mv.l) if isinstance(mv, Move) else (mv[0], mv[1])
-        if len(s) != data.b1:
-            raise ValueError(f"move class length {len(s)} != b1 {data.b1}")
-        ps = data.P.apply(s)
-        for j in range(data.b3):
-            for k in range(data.b3):
-                out[j][k] += l * ps[j] * ps[k]
-    return IntMatrix(out, cols=data.b3)
 
 
 def decompose_symmetric_form(data: ManifoldData, m: IntMatrix) -> list:

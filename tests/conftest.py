@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import emb7
+from emb7.classify import fiber_group
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
                         inverse_unimodular, smith_normal_form)
 from emb7.manifolds import ManifoldData, builtin, validate
+from emb7.moves import Move
 
 
 def fresh_python(*args, check=False) -> subprocess.CompletedProcess:
@@ -60,6 +62,40 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
     return inverse_unimodular(data.P) @ L
+
+
+def base_lambda(data: ManifoldData, u) -> IntMatrix:
+    """Canonical basepoint form for the fiber over u: strictly lower
+    triangular, with L[j,k] = u.x_k.x_j below the diagonal.
+
+    Antisymmetry of the triple tensor makes this a u-symmetric form, and
+    every other u-symmetric form differs from it by a symmetric matrix.
+    """
+    t = data.triple_contraction(u)
+    return IntMatrix([[t[k, j] if j > k else 0 for k in range(data.b3)]
+                      for j in range(data.b3)], cols=data.b3)
+
+
+def fiber_size(data: ManifoldData, u, L: IntMatrix):
+    """Number of classes over (u, L), or None when infinite."""
+    return fiber_group(data, u, L).size()
+
+
+def net_lambda_effect(data: ManifoldData, moves) -> IntMatrix:
+    """Total lambda change sum_i l_i (P s_i)(P s_i)^T of a move list.
+
+    Accepts (s, l) pairs or Move instances; b plays no role here.
+    """
+    out = [[0] * data.b3 for _ in range(data.b3)]
+    for mv in moves:
+        s, l = (mv.s, mv.l) if isinstance(mv, Move) else (mv[0], mv[1])
+        if len(s) != data.b1:
+            raise ValueError(f"move class length {len(s)} != b1 {data.b1}")
+        ps = data.P.apply(s)
+        for j in range(data.b3):
+            for k in range(data.b3):
+                out[j][k] += l * ps[j] * ps[k]
+    return IntMatrix(out, cols=data.b3)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 14) -> IntMatrix:

@@ -6,17 +6,17 @@ import time
 from itertools import product
 
 import emb7.linking as lk
-from conftest import (cokernel, direct_sum, free_h1_manifold, k_relations,
-                      lambda_adjoint, random_form_manifold, random_matrix,
+from conftest import (base_lambda, cokernel, direct_sum, fiber_size,
+                      free_h1_manifold, k_relations, lambda_adjoint,
+                      net_lambda_effect, random_form_manifold, random_matrix,
                       random_symmetric, random_unimodular)
 from emb7.exact import IntMatrix, coset_normal_form
 from emb7.manifolds import builtin
-from emb7.classify import classes_equal, embedding_class, fiber_size
-from emb7.invariants import (base_lambda, enumerate_kappa,
-                             is_symmetric_pair, k_group,
+from emb7.classify import classes_equal, embedding_class
+from emb7.invariants import (enumerate_kappa, is_symmetric_pair, k_group,
                              regular_homotopy_equivalent)
 from emb7.moves import (Move, apply_move, decompose_symmetric_form,
-                        net_lambda_effect, tau_equal)
+                        tau_equal)
 
 
 def test_criterion_01_torus_equality_law():

@@ -1,12 +1,12 @@
 import pytest
 
-from conftest import basis_change, random_symmetric, random_unimodular
+from conftest import (base_lambda, basis_change, fiber_size, random_symmetric,
+                      random_unimodular)
 from emb7.exact import IntMatrix, inverse_unimodular
 from emb7.manifolds import builtin
 from emb7.classify import (BetaUnknownError, EmbeddingClass, classes_equal,
-                           embedding_class, enumerate_fiber, fiber_group,
-                           fiber_size)
-from emb7.invariants import base_lambda, enumerate_kappa
+                           embedding_class, enumerate_fiber, fiber_group)
+from emb7.invariants import enumerate_kappa
 from emb7.moves import Move, apply_move, tau_equal
 
 

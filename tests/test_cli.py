@@ -60,6 +60,31 @@ class TestExitCodes:
         assert message.startswith("result is too large to print")
         assert "set_int_max_str_digits" not in message
 
+    def test_integer_string_too_long(self, capsys):
+        nines = "9" * 5000
+        code, out, err = run(
+            capsys, "classify", "equal", "--manifold", "s1xs3",
+            "--class1", '{"u":[],"L":[["3"]],"beta":["%s"]}' % nines,
+            "--class2", '{"u":[],"L":[["3"]],"beta":["1"]}')
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == (
+            "integer too long: 5000 digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()}")
+
+    def test_manifold_number_too_long(self, capsys, tmp_path):
+        text = json.dumps(to_json(builtin("s1xs3")))
+        assert '"sigma": "0"' in text
+        path = tmp_path / "long.json"
+        path.write_text(text.replace('"sigma": "0"', '"sigma": ' + "9" * 5000))
+        code, out, err = run(capsys, "k-group", "--manifold", str(path),
+                             "--u", "[]", "--L", "[[3]]")
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == (
+            "integer too long: 5000 digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()}")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(capsys, "tau", "equal", "1", "2", "--frob")[0] == 2
 
@@ -573,6 +598,79 @@ class TestBarePackage:
             found = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(),
                               re.MULTILINE)
         assert found and emb7.__version__ == found.group(1)
+
+
+def class_json(u, L, beta) -> str:
+    return json.dumps({"u": u, "L": L, "beta": beta})
+
+
+# t2xs2 with u = (2, 0): L^T - L must be 2 * [[0, 1], [-1, 0]]
+FIBER = ([2, 0], [[0, 0], [2, 0]])
+
+
+class TestClassifyEqualChecksOnce:
+    """A class2 over the same (u, L) as class1 is not checked again; any
+    other class2 gets every check and message that class1 gets."""
+
+    def counters(self, monkeypatch):
+        import emb7.classify
+        import emb7.exact
+        import emb7.invariants
+        calls = {"is_kappa_admissible": 0, "is_symmetric_pair": 0,
+                 "smith_normal_form": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (emb7.classify, emb7.invariants, emb7.exact):
+            for name in calls:
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        return calls
+
+    @pytest.mark.parametrize("u2, L2", [
+        FIBER,
+        ([2, "0"], [["0", " 0"], ["+2", "0_0"]]),
+    ], ids=["same-json", "same-values"])
+    def test_shared_fiber_is_checked_once(self, capsys, monkeypatch, u2, L2):
+        calls = self.counters(monkeypatch)
+        for beta2, equal in (([2, -4], True), ([1, 0], False)):
+            for name in calls:
+                calls[name] = 0
+            code, payload = run_json(
+                capsys, "classify", "equal", "--manifold", "t2xs2",
+                "--class1", class_json(*FIBER, [0, 0]),
+                "--class2", class_json(u2, L2, beta2))
+            assert code == 0 and payload["equal"] is equal
+            assert calls["is_kappa_admissible"] == 1
+            assert calls["is_symmetric_pair"] <= 2
+            assert calls["smith_normal_form"] == 1
+
+    @pytest.mark.parametrize("u2, L2, beta2, error", [
+        ([1, 0], [[0, 0], [2, 0]], [0, 0],
+         "kappa value (1, 0) is not admissible"),
+        ([2, 0], [[0, 0], [0, 0]], [0, 0], "(u, L) is not a symmetric pair"),
+        ([0, 2], [[0, 0], [2, 0]], [0, 0], "(u, L) is not a symmetric pair"),
+        ([2, 0], [[0, 0], [2, 0]], [0], "beta length 1 != b1 2"),
+        ([2.0, 0], [[0, 0], [2, 0]], [0, 0],
+         "expected integer or decimal string, got 2.0"),
+        ([2, 0], [[False, 0], [2, 0]], [0, 0], "expected integer, got False"),
+        ([2, 0], [[0, 0], [2, 0], [0, 0]], [0, 0],
+         "L has shape (3, 2), expected square of size 2"),
+    ], ids=["inadmissible", "not-symmetric", "other-u", "beta-length",
+            "float", "bool", "shape"])
+    def test_other_class2_keeps_every_check(self, capsys, u2, L2, beta2,
+                                            error):
+        code, out, err = run(
+            capsys, "classify", "equal", "--manifold", "t2xs2",
+            "--class1", class_json(*FIBER, [0, 0]),
+            "--class2", class_json(u2, L2, beta2))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": error}
 
 
 class TestUnvalidatedDataIsRefused:

@@ -286,6 +286,79 @@ class TestAuxiliary:
                 assert M.det() == oracle
 
 
+def fraction_det(M: IntMatrix) -> int:
+    """Oracle: Gaussian elimination over the rationals."""
+    n = M.rows
+    a = [[Fraction(x) for x in row] for row in M.data]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    n = sum(b.rows for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out[at + i][at:at + b.rows] = row
+        at += b.rows
+    return IntMatrix(out, cols=n)
+
+
+class TestDetAgainstFractions:
+    """Bareiss `det`, which leaves a row alone when its update is the
+    identity (multiplier 0 and pivot equal to the previous pivot), against
+    Fraction elimination on the shapes where that skip fires."""
+
+    def check(self, M: IntMatrix):
+        assert M.det() == fraction_det(M), M
+
+    def test_identity_and_permutations(self, rng):
+        for n in range(13):
+            self.check(IntMatrix.identity(n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            self.check(IntMatrix([[int(j == perm[i]) for j in range(n)]
+                                  for i in range(n)], cols=n))
+
+    def test_block_diagonal(self, rng):
+        for _ in range(60):
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+            self.check(block_diagonal([random_matrix(rng, s, s, bound=4)
+                                       for s in sizes]))
+        # pivots 2, 3, 5 in turn: every step meets a zero multiplier
+        # while the pivot differs from the previous one
+        self.check(IntMatrix.diagonal([2, 3, 5, 7, 1, 1, -4]))
+
+    def test_sparse(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            self.check(IntMatrix([[rng.choice((0,) * 8 + (rng.randint(-5, 5),))
+                                   for _ in range(n)] for _ in range(n)],
+                                 cols=n))
+
+    def test_unimodular_products(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            M = random_unimodular(rng, n) @ random_unimodular(rng, n)
+            self.check(M)
+            assert abs(M.det()) == 1
+            self.check(M @ IntMatrix.diagonal([rng.randint(-3, 3)
+                                               for _ in range(n)]))
+
+
 def fraction_signature(M: IntMatrix) -> int:
     """Oracle: congruence-diagonalize over the rationals (Sylvester's law
     keeps the signature) and count diagonal signs."""

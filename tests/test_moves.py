@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_h1_manifold, random_symmetric
+from conftest import (base_lambda, free_h1_manifold, net_lambda_effect,
+                      random_symmetric)
 from emb7.exact import IntMatrix
 from emb7.manifolds import builtin
 from emb7.classify import embedding_class
 from emb7.moves import (Move, apply_move, decompose_symmetric_form,
-                        net_lambda_effect, tau_compose, tau_equal,
-                        tau_normal_form)
+                        tau_compose, tau_equal, tau_normal_form)
 
 lb = st.tuples(st.integers(-8, 8), st.integers(-30, 30))
 
@@ -79,7 +79,7 @@ class TestApplyMove:
             assert ab.beta == expected
 
     def test_preserves_symmetric_pair(self, rng):
-        from emb7.invariants import base_lambda, is_symmetric_pair
+        from emb7.invariants import is_symmetric_pair
         t2s2 = builtin("t2xs2")
         u = (2, 0)
         L = base_lambda(t2s2, u) + random_symmetric(rng, 2)
