@@ -8,6 +8,9 @@ exact integers in payloads are decimal strings; the EMB7_ENUM_CAP
 environment variable overrides the enumeration guard and nothing else is
 read from the environment.
 
+The parser is built from one table, `COMMANDS`, of each command's handler
+and its arguments, drawn from a few argument kinds.
+
 A call pays only for its own command: the parser holds just the command
 that argv names, each handler imports only the emb7 modules it runs, and
 `import emb7` re-exports nothing.  Cold on a 2-core VM, best of 15,
@@ -310,165 +313,100 @@ def _cmd_snf(args):
             "V": jsonio.encode_matrix(res.V)}, 0
 
 
-def _add_manifold_arg(p):
-    p.add_argument("--manifold", required=True,
-                   help="builtin name or path to a manifold JSON file")
+# --- the command table -----------------------------------------------------
+
+# Each kind of argument once, as a flag and the keywords of its add_argument
+# call; a kind that several flags share is a function of the flag and of the
+# keywords that differ.
 
 
-# --- arguments of each command, with its handler ---------------------------
+def _kind(**keywords):
+    return lambda flag, **kw: (flag, {**keywords, **kw})
 
 
-def _add_validate(p):
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+def _bounded(flag, low, high=None, **kw):
+    return flag, {"type": _bounded_int(low, high), **kw}
 
 
-def _add_kappa_check(p):
-    _add_manifold_arg(p)
-    p.add_argument("--u", type=_vector, required=True)
-    p.set_defaults(handler=_cmd_kappa_check)
+_FILE = ("file", {})
+_MANIFOLD = ("--manifold", {
+    "required": True, "help": "builtin name or path to a manifold JSON file"})
+_MOVE = ("--move", {"type": _move, "required": True,
+                    "help": "comma separated s_1,...,s_b1,l,b"})
+_VECTOR = _kind(type=_vector, required=True)
+_MATRIX = _kind(type=_matrix, required=True)
+_CLASS = _kind(type=_class_arg, required=True)
+_INT = _kind(type=int)
+_U, _L = _VECTOR("--u"), _MATRIX("--L")
+_TAU = (_INT("l"), _INT("b"))
+_TAU_PAIR = _TAU + (_INT("lp"), _INT("bp"))
 
-
-def _add_kappa_enum(p):
-    _add_manifold_arg(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_kappa_enum)
-
-
-def _add_sym_check(p):
-    _add_manifold_arg(p)
-    p.add_argument("--u", type=_vector, required=True)
-    p.add_argument("--L", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_sym_check)
-
-
-def _add_k_group(p):
-    _add_manifold_arg(p)
-    p.add_argument("--u", type=_vector, required=True)
-    p.add_argument("--L", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_k_group)
-
-
-def _add_whitney(p):
-    _add_manifold_arg(p)
-    p.add_argument("--L", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_whitney)
-
-
-def _add_reghom(p):
-    p.add_argument("--L0", type=_matrix, required=True)
-    p.add_argument("--L1", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_reghom)
-
-
-def _add_compress_check(p):
-    p.add_argument("--u", type=_vector, required=True)
-    p.add_argument("--L", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_compress_check)
-
-
-def _add_move_apply(p):
-    _add_manifold_arg(p)
-    p.add_argument("--class", dest="cls", type=_class_arg, required=True,
-                   help='embedding class JSON {"u": [...], "L": [[...]], "beta": [...]}')
-    p.add_argument("--move", type=_move, required=True,
-                   help="comma separated s_1,...,s_b1,l,b")
-    p.set_defaults(handler=_cmd_move_apply)
-
-
-def _add_decompose(p):
-    _add_manifold_arg(p)
-    p.add_argument("--form", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_decompose)
-
-
-def _add_tau_normal_form(p):
-    p.add_argument("l", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_tau)
-
-
-def _add_tau_pair(p):
-    p.add_argument("l", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("lp", type=int)
-    p.add_argument("bp", type=int)
-    p.set_defaults(handler=_cmd_tau)
-
-
-def _add_classify_equal(p):
-    _add_manifold_arg(p)
-    p.add_argument("--class1", type=_class_arg, required=True)
-    p.add_argument("--class2", type=_class_arg, required=True)
-    p.set_defaults(handler=_cmd_classify_equal)
-
-
-def _add_fiber(p):
-    _add_manifold_arg(p)
-    p.add_argument("--u", type=_vector, default=None,
-                   help="kappa value (defaults to the zero vector)")
-    p.add_argument("--L", type=_matrix, required=True)
-    p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=_bounded_int(0), default=None)
-    p.set_defaults(handler=_cmd_fiber)
-
-
-def _add_link_tau(p):
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--b", type=int, required=True,
-                   help="the b of the class tau(l, b); it does not change "
-                        "what is computed, because the fibers see only x^l")
-    p.add_argument("--resolution",
-                   type=_bounded_int(1, MAX_RESOLUTION),
-                   default=DEFAULT_RESOLUTION,
-                   help=f"quadrature resolution, at most {MAX_RESOLUTION}; "
-                        "the time grows as about its sixth power")
-    p.set_defaults(handler=_cmd_link_tau)
-
-
-def _add_snf(p):
-    p.add_argument("--matrix", type=_matrix, required=True)
-    p.set_defaults(handler=_cmd_snf)
-
-
-# One entry per command: its name, its help (None for none) and either the
-# function that adds its arguments or, for a group, its operations in the
-# same form.
+# One entry per command: its name, its help (None for none), its handler and
+# its arguments.  A group gives its operations, in the same form, in place of
+# the handler, and no arguments.
 COMMANDS = (
-    ("validate", "validate manifold data JSON", _add_validate),
-    ("kappa-check", "test admissibility of a kappa value", _add_kappa_check),
+    ("validate", "validate manifold data JSON", _cmd_validate, (_FILE,)),
+    ("kappa-check", "test admissibility of a kappa value", _cmd_kappa_check,
+     (_MANIFOLD, _U)),
     ("kappa-enum", "enumerate admissible kappa values in a box",
-     _add_kappa_enum),
-    ("sym-check", "test the u-symmetry of a lambda form", _add_sym_check),
-    ("k-group", "beta value group of a (u, L) fiber", _add_k_group),
-    ("whitney", "mod-2 diagonal class W of a lambda form", _add_whitney),
-    ("reghom", "regular homotopy criterion for two forms", _add_reghom),
+     _cmd_kappa_enum, (_MANIFOLD, _INT("--bound", required=True))),
+    ("sym-check", "test the u-symmetry of a lambda form", _cmd_sym_check,
+     (_MANIFOLD, _U, _L)),
+    ("k-group", "beta value group of a (u, L) fiber", _cmd_k_group,
+     (_MANIFOLD, _U, _L)),
+    ("whitney", "mod-2 diagonal class W of a lambda form", _cmd_whitney,
+     (_MANIFOLD, _L)),
+    ("reghom", "regular homotopy criterion for two forms", _cmd_reghom,
+     (_MATRIX("--L0"), _MATRIX("--L1"))),
     ("compress-check", "necessary condition for compressing into R^6",
-     _add_compress_check),
+     _cmd_compress_check, (_U, _L)),
     ("move", "parametric connected sum operations", (
-        ("apply", "apply a move to a class", _add_move_apply),)),
-    ("decompose", "decompose a symmetric form into moves", _add_decompose),
+        ("apply", "apply a move to a class", _cmd_move_apply, (
+            _MANIFOLD,
+            _CLASS("--class", dest="cls", help='embedding class JSON '
+                   '{"u": [...], "L": [[...]], "beta": [...]}'),
+            _MOVE)),), ()),
+    ("decompose", "decompose a symmetric form into moves", _cmd_decompose,
+     (_MANIFOLD, _MATRIX("--form"))),
     ("tau", "torus class calculus on S^1 x S^3", (
-        ("normal-form", None, _add_tau_normal_form),
-        ("equal", None, _add_tau_pair),
-        ("compose", None, _add_tau_pair))),
+        ("normal-form", None, _cmd_tau, _TAU),
+        ("equal", None, _cmd_tau, _TAU_PAIR),
+        ("compose", None, _cmd_tau, _TAU_PAIR)), ()),
     ("classify", "decide equality of embedding classes", (
-        ("equal", None, _add_classify_equal),)),
-    ("fiber", "fiber group and classes over (u, L)", _add_fiber),
+        ("equal", None, _cmd_classify_equal,
+         (_MANIFOLD, _CLASS("--class1"), _CLASS("--class2"))),), ()),
+    ("fiber", "fiber group and classes over (u, L)", _cmd_fiber, (
+        _MANIFOLD,
+        _VECTOR("--u", required=False, default=None,
+                help="kappa value (defaults to the zero vector)"),
+        _L,
+        ("--enumerate", {"action": "store_true"}),
+        _bounded("--cap", 0, default=None))),
     ("link", "numerical linking numbers", (
-        ("tau", "verify the fiber linking of tau(l, b)", _add_link_tau),)),
-    ("snf", "Smith normal form of an integer matrix", _add_snf),
+        ("tau", "verify the fiber linking of tau(l, b)", _cmd_link_tau, (
+            _INT("--l", required=True),
+            _INT("--b", required=True,
+                 help="the b of the class tau(l, b); it does not change "
+                      "what is computed, because the fibers see only x^l"),
+            _bounded("--resolution", 1, MAX_RESOLUTION,
+                     default=DEFAULT_RESOLUTION,
+                     help=f"quadrature resolution, at most {MAX_RESOLUTION}; "
+                          "the time grows as about its sixth power"))),), ()),
+    ("snf", "Smith normal form of an integer matrix", _cmd_snf,
+     (_MATRIX("--matrix"),)),
 )
 
 
 def _add_commands(sub, commands) -> None:
-    for name, text, add in commands:
+    for name, text, handler, arguments in commands:
         p = (sub.add_parser(name) if text is None
              else sub.add_parser(name, help=text))
-        if callable(add):
-            add(p)
+        if callable(handler):
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=handler)
         else:
-            _add_commands(p.add_subparsers(dest="op", required=True), add)
+            _add_commands(p.add_subparsers(dest="op", required=True), handler)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:

@@ -173,10 +173,18 @@ def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:
     return tuple(x % 2 for x in exact.inverse_unimodular(data.P).apply(diag))
 
 
+def _require_square(L: IntMatrix, name: str) -> None:
+    """A lambda form is a bilinear form on one group: its matrix is square."""
+    if L.rows != L.cols:
+        raise ValueError(f"{name} has shape {L.shape}, expected square")
+
+
 def regular_homotopy_equivalent(L0: IntMatrix, L1: IntMatrix) -> bool:
     """Whether the forms give regular homotopic embeddings: the difference
     D = L0 - L1 must have D(x,x) even for every x, which holds exactly when
     diag(D) and D + D^T are even entrywise."""
+    _require_square(L0, "L0")
+    _require_square(L1, "L1")
     if L0.shape != L1.shape:
         raise ValueError(f"shape mismatch {L0.shape} vs {L1.shape}")
     D = L0 - L1
@@ -194,6 +202,7 @@ def compression_obstruction(u: Sequence[int], L: IntMatrix) -> bool:
     does not sharpen it: compressible embeddings realize distinct beta
     values within the u = 0, L = 0 fiber.
     """
+    _require_square(L, "L")
     if any(u):
         return False
     return all(x == 0 for row in L.data for x in row)

@@ -8,6 +8,7 @@ import pytest
 
 import emb7
 from conftest import fresh_python
+from emb7 import cli
 from emb7.cli import COMMANDS, build_parser, main
 from emb7.manifolds import builtin, to_json
 
@@ -97,6 +98,19 @@ class TestExitCodes:
         assert code == 1
         assert "error" in payload
 
+    @pytest.mark.parametrize("argv, error", [
+        (["reghom", "--L0", "[[1],[2]]", "--L1", "[[1],[2]]"],
+         "L0 has shape (2, 1), expected square"),
+        (["reghom", "--L0", "[[1,2]]", "--L1", "[[1,2]]"],
+         "L0 has shape (1, 2), expected square"),
+        (["compress-check", "--u", "[0]", "--L", "[[0],[0]]"],
+         "L has shape (2, 1), expected square"),
+    ])
+    def test_non_square_form_is_domain_failure(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": error}
+
     def test_invalid_manifold_file(self, capsys, tmp_path):
         bad = to_json(builtin("s2xs2"))
         bad["sigma"] = "1"
@@ -153,12 +167,12 @@ class TestExitCodes:
         assert set(payload) == {"estimate", "value", "residual", "pass"}
 
     def test_memory_error_is_domain_failure(self, capsys, monkeypatch):
-        import emb7.cli
+        import emb7.exact
 
-        def exhausted(args):
+        def exhausted(matrix):
             raise MemoryError
 
-        monkeypatch.setattr(emb7.cli, "_cmd_snf", exhausted)
+        monkeypatch.setattr(emb7.exact, "smith_normal_form", exhausted)
         code, out, err = run(capsys, "snf", "--matrix", "[[1]]")
         assert code == 1 and "Traceback" not in err
         assert "error" in json.loads(out)
@@ -367,13 +381,48 @@ PARSE_ARGV = {
 
 
 def command_paths(commands=COMMANDS, prefix=()):
-    for name, _, add in commands:
+    for name, _, handler, _ in commands:
         path = prefix + (name,)
-        if callable(add):
+        if callable(handler):
             yield path
         else:
             yield path  # the group alone
-            yield from command_paths(add, path)
+            yield from command_paths(handler, path)
+
+
+def table_leaves(commands=COMMANDS, prefix=()):
+    """Each command path that has a handler, with its arguments."""
+    for name, _, handler, arguments in commands:
+        path = prefix + (name,)
+        if callable(handler):
+            yield path, arguments
+        else:
+            yield from table_leaves(handler, path)
+
+
+# One value for each kind of argument in the table, keyed by its type;
+# untyped arguments are the manifold and the validated file.
+SAMPLES = {None: "cp2", cli._vector: "[1]", cli._matrix: "[[1]]",
+           cli._class_arg: '{"u": [], "L": [["0"]]}', cli._move: "1,0,5",
+           int: "3"}
+
+
+def sample(keywords):
+    kind = keywords.get("type")
+    if getattr(kind, "__qualname__", "").startswith("_bounded_int."):
+        return "2"  # within every bound: --cap >= 0, 1 <= --resolution <= 32
+    return SAMPLES[kind]
+
+
+def table_argv(path, arguments):
+    """A complete argv for `path`, optional arguments included."""
+    argv = list(path)
+    for flag, keywords in arguments:
+        if flag.startswith("-"):
+            argv.append(flag)
+        if keywords.get("action") != "store_true":
+            argv.append(sample(keywords))
+    return argv
 
 
 def parse_outcome(capsys, parser, argv):
@@ -419,6 +468,24 @@ class TestParserPerCommand:
             got = vars(build_parser(argv).parse_args(argv))
             want = vars(build_parser().parse_args(argv))
             assert got == want
+
+    def test_optional_arguments_in_table(self):
+        optional = {(path, flag) for path, arguments in table_leaves()
+                    for flag, keywords in arguments
+                    if flag.startswith("-") and not keywords.get("required")}
+        assert optional == {(("fiber",), "--u"), (("fiber",), "--enumerate"),
+                            (("fiber",), "--cap"),
+                            (("link", "tau"), "--resolution")}
+
+    @pytest.mark.parametrize("path, arguments", list(table_leaves()),
+                             ids=[" ".join(p) for p, _ in table_leaves()])
+    def test_every_argument_parses_alike(self, path, arguments):
+        argv = table_argv(path, arguments)
+        got = vars(build_parser(argv).parse_args(argv))
+        assert got == vars(build_parser().parse_args(argv))
+        for flag, keywords in arguments:  # each one given, none left default
+            dest = keywords.get("dest", flag.lstrip("-"))
+            assert got[dest] not in (None, False, keywords.get("default"))
 
     @pytest.mark.parametrize("argv, code, stream, text", [
         ([], 2, "err", "the following arguments are required: command"),

@@ -532,6 +532,12 @@ class TestRegularHomotopy:
         with pytest.raises(ValueError):
             regular_homotopy_equivalent(IntMatrix([[1]]), IntMatrix.zeros(2, 2))
 
+    @pytest.mark.parametrize("rows", [[[1], [2]], [[1, 2]]])
+    def test_non_square(self, rows):
+        with pytest.raises(ValueError, match=r"L0 has shape \(\d, \d\), "
+                                             "expected square"):
+            regular_homotopy_equivalent(IntMatrix(rows), IntMatrix(rows))
+
 
 class TestCompression:
     def test_both_zero(self):
@@ -542,3 +548,9 @@ class TestCompression:
 
     def test_nonzero_kappa(self):
         assert not compression_obstruction((1,), IntMatrix.zeros(0, 0))
+
+    @pytest.mark.parametrize("u", [(0,), (1,)])
+    def test_non_square_lambda(self, u):
+        with pytest.raises(ValueError, match=r"L has shape \(2, 1\), "
+                                             "expected square"):
+            compression_obstruction(u, IntMatrix([[0], [0]]))
