@@ -384,7 +384,7 @@ COMMANDS = (
         _bounded("--cap", 0, default=None))),
     ("link", "numerical linking numbers", (
         ("tau", "verify the fiber linking of tau(l, b)", _cmd_link_tau, (
-            _INT("--l", required=True),
+            _bounded("--l", -1000, 1000, required=True),
             _INT("--b", required=True,
                  help="the b of the class tau(l, b); it does not change "
                       "what is computed, because the fibers see only x^l"),

@@ -30,7 +30,7 @@ INTEGRAND_SIGN = -1.0
 
 
 class SeparationError(RuntimeError):
-    """Cycle images could not be certified disjoint."""
+    """A caller-supplied separation bound is not positive."""
 
 
 class UnconvergedError(RuntimeError):
@@ -119,31 +119,10 @@ def hopf_grid(n: int) -> SphereGrid:
     return SphereGrid(points=pts, tangents=tangents, weights=weights)
 
 
-def _midpoint_grid_points(m: int) -> tuple:
-    """Uniform certification grid and its covering radius on S^3."""
-    eta = (np.arange(m) + 0.5) * (math.pi / 2.0) / m
-    xi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
-    E, X1, X2 = np.meshgrid(eta, xi, xi, indexing="ij")
-    ce, se = np.cos(E).ravel(), np.sin(E).ravel()
-    pts = np.stack([ce * np.cos(X1).ravel(), ce * np.sin(X1).ravel(),
-                    se * np.cos(X2).ravel(), se * np.sin(X2).ravel()], axis=-1)
-    # chart metric is bounded by deta^2 + dxi1^2 + dxi2^2
-    radius = 0.5 * math.sqrt((math.pi / 2.0 / m) ** 2
-                             + 2 * (math.pi / m) ** 2)
-    return pts, radius
-
-
-def _min_cross_distance(px: np.ndarray, py: np.ndarray,
-                        chunk: int = 4096) -> float:
-    """Exact minimum distance between two sampled point clouds."""
-    ny2 = np.sum(py * py, axis=1)
-    best = math.inf
-    for i in range(0, len(px), chunk):
-        a = px[i:i + chunk]
-        d2 = (np.sum(a * a, axis=1)[:, None] + ny2[None, :]
-              - 2.0 * (a @ py.T))
-        best = min(best, float(d2.min()))
-    return math.sqrt(max(best, 0.0))
+def _midpoint_grid_points(m: int, length: float) -> tuple:
+    """Midpoints of m equal cells of [0, length] and their covering radius."""
+    h = length / m
+    return (np.arange(m) + 0.5) * h, 0.5 * h
 
 
 # Unit-sphere cycles with both 4-blocks of norm 1/sqrt(2) stay this far
@@ -152,37 +131,31 @@ def _min_cross_distance(px: np.ndarray, py: np.ndarray,
 _POLE_FACTOR = 1.0 + 1.0 / math.sqrt(2.0)
 
 
-def sphere_pair_separation(raw_x: Callable, raw_y: Callable,
-                           lip_sum: float, min_sep: float = 1e-9) -> float:
-    """Certified separation of two cycles into S^7 after stereographic
-    projection, given a rigorous total Lipschitz bound for the raw maps.
-
-    Sampling happens on the sphere, where the pad is exact, and the bound
-    is converted through |p(a)-p(b)| = |a-b| / sqrt((1-a8)(1-b8)).
-    """
-    bound = -math.inf
-    for m in (8, 12, 16, 24, 32):
-        pts, radius = _midpoint_grid_points(m)
-        dmin = _min_cross_distance(raw_x(pts), raw_y(pts))
-        if dmin <= min_sep:
-            break
-        bound = max(bound, dmin - radius * lip_sum)
-        if bound > min_sep:
-            return bound / _POLE_FACTOR
-    raise SeparationError(
-        f"could not certify a positive separation (best bound {bound:.3g})")
-
-
 def tau_fiber_separation(l: int) -> float:
     """Certified separation of the projected theta = 0, pi fibers of any
-    (l, b) torus; the fibers only see alpha1 = x^l, whose derivative has
-    norm at most |l| times the input speed."""
-    emb = tau_embedding(l, 0)
-    lip = math.sqrt((1.0 + l * l) / 2.0)
-    return sphere_pair_separation(
-        emb.fiber(+1, project=False).positions,
-        emb.fiber(-1, project=False).positions,
-        lip_sum=2.0 * lip)
+    (l, b) torus, in closed form.
+
+    The raw fibers are (x, h(x))/sqrt(2) and (y, -h(y))/sqrt(2) on S^7,
+    h(x) = x^k with k = l.  If g is the geodesic distance of x and y on
+    S^3, that of h(x) and h(y) is at most min(pi, |k| g), as h moves at
+    most |k| times as fast as x; so the squared distance of the two points
+    is at least f(g) = 2 - cos g + cos(min(pi, |k| g)).  Applying
+    1 - cos t >= 2 t^2 / pi^2 on [0, pi] to g and to pi - |k| g gives
+    f >= 2 / (1 + k^2) for every k.  For 1 <= |k| <= 64 the bound is also
+    min f over the midpoints of a grid on [0, pi/|k|], less (1 + |k|)
+    times their covering radius, since |f'| <= 1 + |k| there; beyond
+    pi/|k|, f = 1 - cos g increases.  The root of the larger bound is
+    divided by _POLE_FACTOR.  Any |k|-Lipschitz h into S^3 gets the same
+    bound, which serves the other fiber models too.
+    """
+    k = abs(l)
+    square = 2.0 / (1.0 + k * k)
+    if 1 <= k <= 64:
+        g, radius = _midpoint_grid_points(16 * (1 + k) ** 2, math.pi / k)
+        f = 2.0 - np.cos(g) + np.cos(k * g)
+        # 1e-12 covers the rounding of f
+        square = max(square, float(f.min()) - (1 + k) * radius - 1e-12)
+    return math.sqrt(square) / _POLE_FACTOR
 
 
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
@@ -425,10 +398,8 @@ def t1_fiber(sign: int = 1, project: bool = True) -> ParamCycle:
 
 
 def t1_separation() -> float:
-    return sphere_pair_separation(
-        t1_fiber(+1, project=False).positions,
-        t1_fiber(-1, project=False).positions,
-        lip_sum=2.0)  # each block moves at the speed of y
+    # the k = 1 tau fibers with their 4-blocks swapped
+    return tau_fiber_separation(1)
 
 
 def t2_fiber(sign: int = 1, project: bool = True) -> ParamCycle:
@@ -445,11 +416,8 @@ def t2_fiber(sign: int = 1, project: bool = True) -> ParamCycle:
 
 
 def t2_separation() -> float:
-    # conjugation of i by y has derivative norm at most 2|dy|
-    return sphere_pair_separation(
-        t2_fiber(+1, project=False).positions,
-        t2_fiber(-1, project=False).positions,
-        lip_sum=2.0 * math.sqrt(5.0 / 2.0))
+    # y -> y i y^-1 is 2-Lipschitz, so the k = 2 bound holds, blocks swapped
+    return tau_fiber_separation(2)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -182,6 +184,45 @@ class TestExitCodes:
             code, out, err = run(capsys, "link", "tau", "--l", "1",
                                  "--b", "0", "--resolution", "3", *flag)
             assert code == 2 and out == "" and "usage:" in err
+
+    def test_l_out_of_range_is_usage_error(self, capsys):
+        for l in ("1001", "-1001"):
+            code, out, err = run(capsys, "link", "tau", "--l", l, "--b", "0")
+            assert code == 2 and out == "" and "usage:" in err
+
+    def test_l_at_bound_ends_in_json(self, capsys):
+        code, out, err = run(capsys, "link", "tau", "--l", "-1000",
+                             "--b", "0", "--resolution", "1")
+        assert code == 1 and err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out)["pass"] is False
+
+
+def memory_capped_python(*args, limit=1 << 30) -> subprocess.CompletedProcess:
+    """`python *args` like `fresh_python`, in a child whose address space is
+    capped at `limit` bytes; the cap is set in the child only."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emb7.__file__)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60, preexec_fn=cap)
+
+
+class TestLinkTauMemory:
+    @pytest.mark.parametrize("l", ["8", "50"])
+    def test_steep_twist_fits_in_one_gigabyte(self, l):
+        # the separation certificate is closed form, so |l| costs no memory
+        proc = memory_capped_python("-m", "emb7.cli", "link", "tau",
+                                    "--l", l, "--b", "0", "--resolution", "1")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.count("\n") == 1
+        # an unconverged estimate, or its error message: not a memory error
+        assert isinstance(json.loads(proc.stdout), dict)
+        assert "out of memory" not in proc.stdout
 
 
 class TestGoldenOutputs:

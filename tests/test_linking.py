@@ -305,3 +305,56 @@ class TestVerify:
         r2 = lk.linking_number(lk.t2_fiber(+1), lk.t2_fiber(-1),
                                resolution=5, separation=lk.t2_separation())
         assert r2.value == 0
+
+
+def unit_imaginary(r, n):
+    v = r.normal(size=(n, 4))
+    v[:, 0] = 0.0
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def exp_imaginary(axis, t):
+    """exp(axis t) for unit imaginary quaternions `axis`."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return np.cos(t) * quat.QONE + np.sin(t) * axis
+
+
+def sampled_min(X, Y, k, seed=0):
+    """Smallest distance |X(x) - Y(y)| over a seeded sample of pairs:
+    random pairs, near pairs x, x exp(n t) with t up to pi / max(1, |k|),
+    and all pairs on the one-parameter subgroups through i, j, k and random
+    axes, which reach the pole side of both projected fibers."""
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(2000, 4))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    y = r.normal(size=(2000, 4))
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    t = r.uniform(0.0, math.pi / max(1, abs(k)), size=len(x))
+    near = quat.qmul(x, exp_imaginary(unit_imaginary(r, len(x)), t))
+    s = 2.0 * math.pi * np.arange(128) / 128
+    S, T = (a.ravel() for a in np.meshgrid(s, s, indexing="ij"))
+    axes = np.concatenate([[quat.QI, quat.QJ, quat.QK],
+                           unit_imaginary(r, 3)])
+    xs = [x, x] + [exp_imaginary(n, S) for n in axes]
+    ys = [y, near] + [exp_imaginary(n, T) for n in axes]
+    return min(float(np.min(np.linalg.norm(
+        X.positions(a) - Y.positions(b), axis=-1))) for a, b in zip(xs, ys))
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_below_sampled_distance(self, k):
+        emb = lk.tau_embedding(k, 0)
+        bound = lk.tau_fiber_separation(k)
+        assert 0 < bound <= sampled_min(emb.fiber(+1), emb.fiber(-1), k)
+
+    @pytest.mark.parametrize("k", [*range(-8, 9), 65, 1000, 10 ** 5])
+    def test_analytic_floor(self, k):
+        floor = math.sqrt(2.0 / (1 + k * k)) / lk._POLE_FACTOR
+        assert 0 < floor <= lk.tau_fiber_separation(k)
+
+    def test_other_models(self):
+        assert 0 < lk.t1_separation() <= sampled_min(
+            lk.t1_fiber(+1), lk.t1_fiber(-1), 1)
+        assert 0 < lk.t2_separation() <= sampled_min(
+            lk.t2_fiber(+1), lk.t2_fiber(-1), 2)
