@@ -11,6 +11,8 @@ every node pair to matrix products over Pluecker coordinates.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -208,6 +210,39 @@ def _plucker(dF: np.ndarray) -> np.ndarray:
             + a[:, k] * (b[:, i] * c[:, j] - b[:, j] * c[:, i]))
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """get and set of the thread count of numpy's OpenBLAS, or no-ops."""
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        for lib in sorted({ln.split()[-1] for ln in fh if "openblas" in ln}):
+            dll = ctypes.CDLL(lib)
+            for form in ("scipy_openblas_%s_num_threads64_",
+                         "openblas_%s_num_threads"):
+                get = getattr(dll, form % "get", None)
+                if get is not None:
+                    put = getattr(dll, form % "set")
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return (lambda: 0), (lambda threads: None)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # The kernel's products are small.  On a 2-core VM a second BLAS thread
+    # saved 15-30% of a warm call, but the first call of a process took 1.2
+    # to 3.5 times a later one, as it waited for that thread to be
+    # scheduled; on one thread it took 1.25 to 1.5 times, run after run.
+    get, put = _openblas_threads()
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+@_one_blas_thread()
 def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
              fy: np.ndarray, dfy: np.ndarray, wy: np.ndarray) -> float:
     """sum_{a,b} wx_a wy_b det[D | dF_a | -dH_b] / |D|^7, D = F_a - H_b.

@@ -284,6 +284,41 @@ class TestPairKernel:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_kernel_runs_blas_on_one_thread(self, monkeypatch):
+        get, _ = lk._openblas_threads()
+        before = get()
+        if "openblas" in np.__config__.CONFIG[
+                "Build Dependencies"]["blas"]["name"]:
+            assert before >= 1  # numpy's OpenBLAS was found
+        seen = []
+
+        def plucker(dF):
+            seen.append(get())
+            raise RuntimeError("stop inside the kernel")
+
+        monkeypatch.setattr(lk, "_plucker", plucker)
+        with pytest.raises(RuntimeError):
+            lk.pair_sum(*tau_nodes(1, 0, 3))
+        assert seen == [1 if before else 0]
+        assert get() == before  # restored, also when the kernel raises
+
+    def test_process_blas_threads_do_not_change_last_digits(self):
+        # at resolution 9 two BLAS threads summed the l = -1 products in
+        # another order than one did, and the estimate's last digits moved
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lk.__file__)))
+        code = ("import emb7.linking as lk; "
+                "print(repr(lk.verify_lambda_tau(-1, 0, 9).estimate))")
+        outs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, outs
+
 
 class TestVerify:
     def test_twisting_equals_linking(self):
