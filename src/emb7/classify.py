@@ -3,9 +3,10 @@ equality decisions, and fiber groups over a fixed (u, L).
 
 beta is stored in ambient H1 coordinates relative to an abstract basepoint
 of its fiber; only differences of beta values are meaningful, and equality
-is decided through the canonical coset normal form in K_{u,L}.  Which
-geometric embedding the basepoint denotes is not recoverable from the
-algebra, so the CLI prints a basepoint disclaimer alongside every beta.
+is decided by one test of whether their difference lies in the relation
+subgroup of K_{u,L}.  Which geometric embedding the basepoint denotes is
+not recoverable from the algebra, so the CLI prints a basepoint disclaimer
+alongside every beta.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import IntMatrix, coset_normal_form
-from .invariants import KGroup, is_kappa_admissible, is_symmetric_pair, k_group
+from .exact import IntMatrix, lattice_member
+from .invariants import (KGroup, divisibility, is_kappa_admissible,
+                         is_symmetric_pair, k_group)
 from .manifolds import ManifoldData
 
 BASEPOINT_NOTE = ("beta values are coset representatives relative to an "
@@ -72,17 +74,20 @@ def classes_equal(data: ManifoldData, c1: EmbeddingClass,
                   c2: EmbeddingClass) -> bool:
     """Decide equality of two classes with known beta.
 
-    Classes agree exactly when u and L agree and the beta cosets coincide
-    in K_{u,L}.  Comparing betas across different (u, L) fibers is
-    meaningless and classes then simply differ.
+    Classes agree exactly when u and L agree and beta1 - beta2 lies in
+    2*Lambda(H3) + d*H1, d = divisibility(u): with L = P Lambda and P
+    unimodular, when P(beta1 - beta2) lies in 2L*Z^b3 + d*Z^b1.  (u, L)
+    passed `embedding_class`.  Comparing betas across different (u, L)
+    fibers is meaningless and classes then simply differ.
     """
     if not (c1.beta_known and c2.beta_known):
         raise BetaUnknownError("both classes need a known beta for equality")
     if c1.u != c2.u or c1.L != c2.L:
         return False
-    kg = k_group(data, c1.u, c1.L)
-    return (coset_normal_form(kg.group, c1.beta)
-            == coset_normal_form(kg.group, c2.beta))
+    twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
+                                      for row in c1.L.data), cols=c1.L.cols)
+    diff = data.P.apply([x - y for x, y in zip(c1.beta, c2.beta)])
+    return lattice_member(twice, diff, divisibility(c1.u))
 
 
 def fiber_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
@@ -109,16 +114,32 @@ def _value_at(d: int, idx: int) -> int:
     return k if idx % 2 else -k
 
 
+def _shell(ranges: list, m: int, hit: bool = False):
+    """The index tuples over `ranges` with largest entry m, in lexicographic
+    order; a coordinate is only m when no later one can be, so each tuple
+    costs O(len(ranges)**2) and no tuple is scanned and dropped."""
+    if not ranges:
+        yield ()
+        return
+    later = hit or any(len(r) > m for r in ranges[1:])
+    for x in ranges[0] if later else ranges[0][m:m + 1]:
+        for rest in _shell(ranges[1:], m, hit or x == m):
+            yield (x,) + rest
+
+
 def enumerate_fiber(data: ManifoldData, u: Sequence[int], L: IntMatrix,
-                    cap: Optional[int] = None) -> FiberEnumeration:
+                    cap: Optional[int] = None,
+                    max_entries: Optional[int] = None) -> FiberEnumeration:
     """Distinct canonical beta representatives over (u, L), in factor
     coordinates.
 
     Complete when the fiber is finite and within cap; an infinite fiber
-    needs a cap and the result is flagged truncated.  The result carries
-    the fiber group, so callers need not build it a second time.
+    needs a cap and the result is flagged truncated.  A listing of more
+    than `max_entries` integers (classes times b1) is refused before any
+    is built.  The result carries the fiber group, so callers need not
+    build it a second time.
     """
-    from itertools import product
+    from itertools import chain, count, islice, product
 
     kg = fiber_group(data, u, L)
     factors = kg.group.invariant_factors
@@ -126,29 +147,24 @@ def enumerate_fiber(data: ManifoldData, u: Sequence[int], L: IntMatrix,
     if size is None and cap is None:
         raise ValueError("infinite fiber: a cap is required")
     limit = size if cap is None else (cap if size is None else min(size, cap))
+    width = max(data.b1, 1)
+    if max_entries is not None and limit * width > max_entries:
+        from .jsonio import encode_int
+        raise ValueError(
+            f"fiber of size {'infinite' if size is None else encode_int(size)}"
+            f" is too large to list: more than {max_entries} entries "
+            f"(classes x b1); pass --cap of at most {max_entries // width}")
 
-    reps = []
-    if not factors:
-        if limit >= 1:
-            reps.append(())
-    elif size is not None:
-        for combo in product(*(range(d) for d in factors)):
-            if len(reps) >= limit:
-                break
-            reps.append(combo)
+    if size is not None:
+        reps = list(islice(product(*map(range, factors)), limit))
     else:
-        # grow coordinate index ranges in rounds so truncation keeps small
-        # representatives first, deterministically
-        depth = 0
-        while len(reps) < limit:
-            depth += 1
-            ranges = [range(min(depth, d) if d else depth) for d in factors]
-            for idxs in product(*ranges):
-                if max(idxs) == depth - 1:
-                    reps.append(tuple(_value_at(d, i)
-                                      for d, i in zip(factors, idxs)))
-                    if len(reps) >= limit:
-                        break
+        # index ranges grow in rounds, the m-th holding the tuples of
+        # largest index m, so truncation keeps small representatives first
+        rounds = chain.from_iterable(
+            _shell([range(min(m + 1, d) if d else m + 1) for d in factors], m)
+            for m in count())
+        reps = [tuple(map(_value_at, factors, idxs))
+                for idxs in islice(rounds, limit)]
     truncated = size is None or limit < size
     return FiberEnumeration(representatives=tuple(reps), truncated=truncated,
                             fiber_group=kg)

@@ -3,7 +3,8 @@
 Every subcommand reads JSON-ish arguments, prints a single JSON object on
 stdout, and exits 0 on success, 1 on a domain failure (invalid data,
 inadmissible input, unconverged integral, a failed linking check, memory
-exhausted, a result too large to print), or 2 on a usage error.  All
+exhausted, a result too large to print or a fiber too large to list), or
+2 on a usage error.  All
 exact integers in payloads are decimal strings; the EMB7_ENUM_CAP
 environment variable overrides the enumeration guard and nothing else is
 read from the environment.
@@ -18,10 +19,11 @@ that argv names, each handler imports only the emb7 modules it runs, and
 `python -c pass` (README).
 
 Each input is decoded once, one pass per array, and `classify equal`
-checks a (u, L) that both classes share once.  In process, building the
-parser and parsing argv is then the largest piece of a call: about
-0.4 ms of a 0.9 ms `classify equal` on the benchmark's genus-6 manifold
-(README).
+checks a (u, L) that both classes share once and decides equality by one
+lattice-membership test.  In process, building the parser and parsing
+argv is then the largest piece of a call: about 0.20 ms of a 0.38 ms
+`classify equal` on the benchmark's genus-6 manifold, against 0.05 ms
+for the membership test (README).
 """
 
 from __future__ import annotations
@@ -273,7 +275,8 @@ def _cmd_fiber(args):
     data = _load_manifold(args.manifold)
     u = args.u if args.u is not None else (0,) * data.b2
     if args.enumerate:
-        enum = classify.enumerate_fiber(data, u, args.L, cap=args.cap)
+        enum = classify.enumerate_fiber(data, u, args.L, cap=args.cap,
+                                        max_entries=MAX_LISTED)
         kg = enum.fiber_group
     else:
         kg = classify.fiber_group(data, u, args.L)
@@ -318,6 +321,11 @@ def _cmd_snf(args):
 # Each kind of argument once, as a flag and the keywords of its add_argument
 # call; a kind that several flags share is a function of the flag and of the
 # keywords that differ.
+
+
+# Most integers (classes times b1) `fiber --enumerate` lists: the largest
+# listing, at b1 = 1, peaks at about 140 MB.
+MAX_LISTED = 500_000
 
 
 def _kind(**keywords):
@@ -381,7 +389,7 @@ COMMANDS = (
                 help="kappa value (defaults to the zero vector)"),
         _L,
         ("--enumerate", {"action": "store_true"}),
-        _bounded("--cap", 0, default=None))),
+        _bounded("--cap", 0, MAX_LISTED, default=None))),
     ("link", "numerical linking numbers", (
         ("tau", "verify the fiber linking of tau(l, b)", _cmd_link_tau, (
             _bounded("--l", -1000, 1000, required=True),

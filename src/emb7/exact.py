@@ -325,6 +325,62 @@ def _gcdext(a: int, b: int) -> tuple:
     return old_r, old_x, old_y
 
 
+def lattice_member(A: IntMatrix, v: Sequence[int], d: int = 0) -> bool:
+    """Whether v lies in the column span of A plus d*Z^n, n = A.rows.
+
+    The columns of A go one at a time into an echelon basis by extended-gcd
+    steps, over Z for d = 0 and over Z/d otherwise, and v is reduced
+    against it; no transform and no Smith form is built.  Over Z/d the
+    basis starts as the pivots d*e_i and stays in Howell form (Storjohann
+    and Mulders, ESA 1998), so the reduction is a complete test: a step
+    that puts new = s p + t w, of leading entry g, in place of the pivot p,
+    of leading entry a, goes on with rest = (a/g) w - (x/g) p, and
+    (d/g) new = (d/a) p + (d/a) t rest lies in the span of later pivots.
+    """
+    n = A.rows
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} != rows {n}")
+    if d < 0:
+        raise ValueError(f"modulus {d} is negative")
+    # piv[i] has its first nonzero entry, positive, at i; over Z/d it
+    # divides d, and over Z piv[i] is None until a column reaches i
+    piv = [[d if j == i else 0 for j in range(n)] if d else None
+           for i in range(n)]
+
+    def settle(w):
+        # (i, w reduced up to i) at the first entry the pivots cannot clear
+        for i in range(n):
+            x = w[i]
+            if x:
+                p = piv[i]
+                if p is None or x % p[i]:
+                    return i, w
+                q = x // p[i]
+                w = [y - q * z for y, z in zip(w, p)]
+                if d:
+                    w = [y % d for y in w]
+        return None
+
+    for col in zip(*A.data):
+        hit = settle([x % d for x in col] if d else list(col))
+        while hit is not None:
+            i, w = hit
+            p, x = piv[i], w[i]
+            if p is None:
+                piv[i] = w if x > 0 else [-y for y in w]
+                break
+            a = p[i]
+            g, s, t = _gcdext(a, x)
+            new = [s * z + t * y for y, z in zip(w, p)]
+            rest = [a // g * y - x // g * z for y, z in zip(w, p)]
+            if d:
+                new = [y % d for y in new]
+                rest = [y % d for y in rest]
+            piv[i] = new
+            hit = settle(rest)
+    return settle([x % d for x in v] if d else list(v)) is None
+
+
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
     """A quotient Z^n / R in invariant-factor form.
@@ -333,8 +389,9 @@ class AbelianGroupPresentation:
     infinite cyclic summand.  `projection` is a unimodular matrix carrying
     ambient coordinates to factor coordinates, so membership in the relation
     subgroup R is exactly "all factor coordinates vanish modulo their
-    factor".  The relations themselves are not kept: every answer reads the
-    factors and the projection alone.
+    factor"; a presentation of the factors alone has a projection with no
+    columns, which `coset_normal_form` refuses.  The relations themselves
+    are not kept.
     """
 
     ambient_rank: int

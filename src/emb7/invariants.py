@@ -12,20 +12,15 @@ Two shortcuts keep the fiber computations small:
 
 - The K-group comes from one Smith form, of 2L.  P is unimodular
   (`validate` checks this on every file load) and L = P Lambda, so
-  U_L (2L) V = T gives (U_L P)(2 Lambda) V = T: U = U_L P carries the
-  relations [2 Lambda | d*I] onto the columns of [T | d*I] (V and U^-1
-  only recombine columns), so K is the sum of the cyclic groups
-  Z/gcd(t_i, d), with t padded by zeros to length b1.  For d != 0 every
-  such factor divides d, so the reduction runs over Z/d
-  (`smith_normal_form(2L, left=P, modulus=d)`): 2L and P are reduced mod
-  d, each t_i is replaced by gcd(t_i, d), the factors are put into a
-  divisibility chain, and every entry of the projection U stays in
-  [0, d).  For d = 2, 2L is 0 mod 2 and nothing is eliminated.  For
-  d = 0 the reduction runs over Z, with integer transforms, and the
-  factors are t_i = 2 s_i for the Smith diagonal s of L.  Either way the
-  row operations start from P, so neither P^-1 nor the product U_L P is
-  formed, and the relation matrix is never built: K is its factors and
-  its projection.
+  U_L (2L) V = T gives (U_L P)(2 Lambda) V = T, and K is the sum of the
+  cyclic groups Z/gcd(t_i, d), with t padded by zeros to length b1.  For
+  d != 0 every such factor divides d, so the reduction runs over Z/d:
+  each t_i is replaced by gcd(t_i, d), and for d = 2, 2L is 0 mod 2 and
+  nothing is eliminated.  For d = 0 it runs over Z.  `k_group` keeps the
+  factors alone and tracks no transform; `classify.classes_equal` tests
+  lattice membership instead.  `k_group_presentation` with a square P
+  starts the row operations from P, so U = U_L P is the projection to
+  factor coordinates, in [0, d) for d != 0: the tests' coset oracle.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
@@ -54,7 +49,8 @@ class KGroup:
 
     The group is H1 modulo the columns of 2*Lambda together with d times
     the identity, where Lambda is the adjoint of L and d = divisibility(u);
-    it is computed from the Smith form of 2L (see the module docstring).
+    `k_group` computes it from the Smith form of 2L as factors alone, so
+    `group.projection` has no columns (see the module docstring).
     """
 
     group: AbelianGroupPresentation
@@ -137,7 +133,9 @@ def k_group_presentation(L: IntMatrix, d: int,
     """Quotient of H1 by the columns of 2*Lambda together with d*identity,
     where Lambda = P^-1 L (P defaults to the identity, so L is Lambda), from
     one Smith reduction of 2L started from P: over Z/d for d != 0, over Z
-    for d = 0 (see the module docstring)."""
+    for d = 0 (see the module docstring).  A P with no columns (b1 x 0)
+    gives the factors alone, with a projection of no columns, which
+    `exact.coset_normal_form` refuses."""
     left = IntMatrix.identity(L.rows) if P is None else P
     twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
                                       for row in L.data), cols=L.cols)
@@ -145,23 +143,23 @@ def k_group_presentation(L: IntMatrix, d: int,
     # exact.smith_normal_form at run time also sees this call
     res = exact.smith_normal_form(twice, left=left, modulus=d)
     # rows beyond min(b1, b3) meet no column of 2L, only d: factor gcd(0, d)
-    pad = (d,) * (left.cols - min(res.D.shape))
-    return AbelianGroupPresentation(ambient_rank=left.cols,
+    pad = (d,) * (L.rows - min(res.D.shape))
+    return AbelianGroupPresentation(ambient_rank=L.rows,
                                     invariant_factors=res.diagonal() + pad,
                                     projection=res.U)
 
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
-    """The beta value group for the fiber over (u, L), from one Smith
-    reduction of 2L started from P: over Z/d for d = divisibility(u) != 0,
-    so every entry of the projection lies in [0, d), and over Z for d = 0
-    (see the module docstring).  Expects data that passed `validate`: for
-    a P that is not unimodular the factors are wrong, and no check here
-    says so."""
+    """The beta value group for the fiber over (u, L): its invariant
+    factors, from one Smith reduction of 2L that tracks no transform, over
+    Z/d for d = divisibility(u) != 0 and over Z for d = 0 (see the module
+    docstring).  Expects data that passed `validate`: for a P that is not
+    unimodular the factors are wrong, and no check here says so."""
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)
-    return KGroup(group=k_group_presentation(L, d, data.P), d=d)
+    return KGroup(group=k_group_presentation(L, d, IntMatrix.zeros(L.rows, 0)),
+                  d=d)
 
 
 def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:

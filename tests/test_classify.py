@@ -1,11 +1,15 @@
+import time
+from itertools import product
+
 import pytest
 
 from conftest import (base_lambda, basis_change, fiber_size, random_symmetric,
                       random_unimodular)
 from emb7.exact import IntMatrix, inverse_unimodular
 from emb7.manifolds import builtin
-from emb7.classify import (BetaUnknownError, EmbeddingClass, classes_equal,
-                           embedding_class, enumerate_fiber, fiber_group)
+from emb7.classify import (BetaUnknownError, EmbeddingClass, _shell,
+                           classes_equal, embedding_class, enumerate_fiber,
+                           fiber_group)
 from emb7.invariants import enumerate_kappa
 from emb7.moves import Move, apply_move, tau_equal
 
@@ -141,6 +145,36 @@ class TestEnumerateFiber:
         enum = enumerate_fiber(builtin("s1xs3"), (), IntMatrix([[3]]), cap=4)
         assert len(enum.representatives) == 4
         assert enum.truncated
+
+    def test_shell_is_the_filtered_product_in_order(self, rng):
+        # the rounds of an infinite listing: index tuples over the ranges
+        # whose largest entry is m, as the filtered product gives them
+        for _ in range(300):
+            depth = rng.randint(1, 6)
+            factors = [rng.choice((0, 0, 1, 2, 3, 8))
+                       for _ in range(rng.randint(1, 4))]
+            ranges = [range(min(depth, d) if d else depth) for d in factors]
+            want = [t for t in product(*ranges) if max(t) == depth - 1]
+            assert list(_shell(ranges, depth - 1)) == want, (factors, depth)
+
+    def test_infinite_listing_is_not_quadratic(self):
+        # one round per class on Z: a scan of each round's whole box took
+        # 15 s here (0.04 s walking only the new tuples)
+        t0 = time.perf_counter()
+        enum = enumerate_fiber(builtin("s1xs3"), (), IntMatrix([[0]]),
+                               cap=20_000)
+        assert time.perf_counter() - t0 < 2.0
+        assert enum.representatives[-2:] == ((-9_999,), (10_000,))
+
+    def test_listing_limit(self):
+        t2s2 = builtin("t2xs2")
+        L = IntMatrix([[0, 0], [6, 0]])
+        assert len(enumerate_fiber(t2s2, (6, 0), L,
+                                   max_entries=72).representatives) == 36
+        with pytest.raises(ValueError, match="fiber of size 36 .* at most 35"):
+            enumerate_fiber(t2s2, (6, 0), L, max_entries=71)
+        assert len(enumerate_fiber(t2s2, (6, 0), L, cap=35,
+                                   max_entries=71).representatives) == 35
 
     def test_representatives_distinct(self, rng):
         for l in range(1, 6):

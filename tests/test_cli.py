@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,25 @@ class TestExitCodes:
                              "--L", "[[0]]", "--enumerate", "--cap", "-1")
         assert code == 2 and out == "" and "usage:" in err
 
+    def test_cap_above_listing_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "fiber", "--manifold", "s1xs3",
+                             "--L", "[[0]]", "--enumerate",
+                             "--cap", str(cli.MAX_LISTED + 1))
+        assert code == 2 and out == "" and "usage:" in err
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--u", "[2000,0]", "--L", "[[0,0],[2000,0]]"], "4000000"),
+        (["--L", "[[0,0],[0,0]]", "--cap", "400000"], "infinite"),
+    ], ids=["finite", "capped"])
+    def test_listing_too_large_is_domain_failure(self, capsys, argv, size):
+        # more than MAX_LISTED integers (classes x b1) to list: refused
+        # before any class is built, with the size and the way out
+        code, payload = run_json(capsys, "fiber", "--manifold", "t2xs2",
+                                 "--enumerate", *argv)
+        assert code == 1
+        assert f"fiber of size {size} " in payload["error"]
+        assert "--cap of at most 250000" in payload["error"]
+
     def test_resolution_out_of_range_is_usage_error(self, capsys):
         for res in ("0", "33", "1000000"):
             code, out, err = run(capsys, "link", "tau", "--l", "1",
@@ -223,6 +243,20 @@ class TestLinkTauMemory:
         # an unconverged estimate, or its error message: not a memory error
         assert isinstance(json.loads(proc.stdout), dict)
         assert "out of memory" not in proc.stdout
+
+
+class TestFiberListingMemory:
+    def test_large_fiber_ends_in_json_under_one_gigabyte(self):
+        # 4 * 10^6 classes: without the listing guard this grew past 1 GB
+        t0 = time.perf_counter()
+        proc = memory_capped_python(
+            "-m", "emb7.cli", "fiber", "--manifold", "t2xs2",
+            "--u", "[2000,0]", "--L", "[[0,0],[2000,0]]", "--enumerate")
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert "--cap" in json.loads(proc.stdout)["error"]
+        assert elapsed < 1.0
 
 
 class TestGoldenOutputs:
@@ -755,8 +789,8 @@ class TestClassifyEqualChecksOnce:
                 "--class2", class_json(u2, L2, beta2))
             assert code == 0 and payload["equal"] is equal
             assert calls["is_kappa_admissible"] == 1
-            assert calls["is_symmetric_pair"] <= 2
-            assert calls["smith_normal_form"] == 1
+            assert calls["is_symmetric_pair"] == 1
+            assert calls["smith_normal_form"] == 0
 
     @pytest.mark.parametrize("u2, L2, beta2, error", [
         ([1, 0], [[0, 0], [2, 0]], [0, 0],

@@ -9,8 +9,9 @@ from conftest import (cokernel, random_matrix, random_symmetric,
                       random_unimodular)
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
                         coset_normal_form, det_signature,
-                        inverse_unimodular, signature, smith_normal_form,
-                        vector_gcd)
+                        inverse_unimodular, lattice_member, signature,
+                        smith_normal_form, vector_gcd)
+from emb7.invariants import k_group_presentation
 
 small_matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
@@ -245,6 +246,59 @@ class TestCosetNormalForm:
             for j in range(R.cols):
                 shifted = tuple(a + b for a, b in zip(v, R.column(j)))
                 assert coset_normal_form(G, shifted) == nf
+
+
+class TestLatticeMember:
+    """`lattice_member(2L, P beta, d)` against the canonical coset form of
+    beta in `k_group_presentation(L, d, P)`, which builds the projection:
+    beta lies in 2 Lambda Z^b3 + d Z^b1, Lambda = P^-1 L, exactly when its
+    coset form is that of 0."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6),
+           st.sampled_from((0, 0, 1, 2, 4, 6, 8, 9, 12, 30, 36)),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_coset_normal_form(self, b1, b3, d, member, rnd):
+        P = random_unimodular(rnd, b1)
+        lam = random_matrix(rnd, b1, b3, bound=rnd.choice((2, 9)))
+        L = P @ lam
+        G = k_group_presentation(L, d, P)
+        twice = IntMatrix([[2 * x for x in row] for row in L.data], cols=b3)
+        if member:
+            c = [rnd.randint(-4, 4) for _ in range(b3)]
+            beta = [2 * x + d * rnd.randint(-3, 3) for x in lam.apply(c)]
+        else:
+            beta = [rnd.randint(-12, 12) for _ in range(b1)]
+        got = lattice_member(twice, P.apply(beta), d)
+        zero = coset_normal_form(G, (0,) * b1)
+        assert got == (coset_normal_form(G, beta) == zero), (L, P, d, beta)
+        assert got or not member
+
+    def test_howell_step(self):
+        # 2L = (4, 2)^T mod 8 meets the pivot 8 e_1, keeps (4, 2) as the
+        # pivot and goes on with its Howell companion 2 (4, 2) = (0, 4); an
+        # echelon form that put (4, 2) in an empty place reads (0, 4) as
+        # outside
+        twice = IntMatrix([[4], [2]])
+        assert lattice_member(twice, (0, 4), 8)
+        assert lattice_member(twice, (4, 2), 8)
+        assert not lattice_member(twice, (0, 2), 8)
+        G = k_group_presentation(IntMatrix([[2], [1]]), 8)
+        assert coset_normal_form(G, (0, 4)) == coset_normal_form(G, (0, 0))
+
+    def test_over_z(self):
+        A = IntMatrix([[2, 4], [0, 6]])
+        assert lattice_member(A, (2, 6), 0)
+        assert not lattice_member(A, (0, 2), 0)
+        assert lattice_member(IntMatrix.zeros(2, 0), (0, 0), 0)
+        assert not lattice_member(IntMatrix.zeros(2, 0), (0, 1), 0)
+        assert lattice_member(IntMatrix.zeros(0, 3), (), 5)
+
+    def test_checks_its_input(self):
+        with pytest.raises(ValueError):
+            lattice_member(IntMatrix([[1]]), (1, 2), 0)
+        with pytest.raises(ValueError):
+            lattice_member(IntMatrix([[1]]), (1,), -2)
 
 
 class TestAuxiliary:
