@@ -9,29 +9,34 @@ exact integers in payloads are decimal strings; the EMB7_ENUM_CAP
 environment variable overrides the enumeration guard and nothing else is
 read from the environment.
 
-The parser is built from one table, `COMMANDS`, of each command's handler
-and its arguments, drawn from a few argument kinds.
+One table, `COMMANDS`, holds each command's handler and its arguments,
+drawn from a few argument kinds.  `fast_parse` reads a well-formed argv
+straight from it; only help, usage and errors import argparse and build a
+parser, which holds just the command that argv names and is the only
+source of their text.
 
-A call pays only for its own command: the parser holds just the command
-that argv names, each handler imports only the emb7 modules it runs, and
-`import emb7` re-exports nothing.  Cold on a 2-core VM, best of 15,
-`k-group` and `classify equal` each take about 60 ms, against 40 ms for
-`python -c pass` (README).
+A call pays only for its own command: each handler imports only the emb7
+modules it runs, and `import emb7` re-exports nothing.  Cold on a 2-core
+VM, best of 15 with bytecode compiled, `k-group`, `fiber --enumerate` and
+`classify equal` each take 25-27 ms, against 20 ms for
+`python -c "import json"` (README).
 
 Each input is decoded once, one pass per array, and `classify equal`
 checks a (u, L) that both classes share once and decides equality by one
-lattice-membership test.  In process, building the parser and parsing
-argv is then the largest piece of a call: about 0.20 ms of a 0.38 ms
-`classify equal` on the benchmark's genus-6 manifold, against 0.05 ms
-for the membership test (README).
+lattice-membership test.  In process, a `classify equal` on the
+benchmark's genus-6 manifold takes 0.18 ms: 0.065 ms for the membership
+test, 0.05 ms to load and validate the manifold, 0.03 ms to decode and
+check both classes and 0.015 ms to parse argv, where building a parser
+took 0.20 ms (README).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+import types
 
 from .resolution import DEFAULT_RESOLUTION, MAX_RESOLUTION
 
@@ -74,11 +79,17 @@ def _json_loads(text: str):
         return json.loads(text, parse_int=jsonio.decode_int)
 
 
+def _type_error(message: str) -> Exception:
+    """The error a `type` raises: argparse loads only on the way to one."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_json_arg(text: str):
     try:
         return _json_loads(text)
     except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}")
+        raise _type_error(f"not valid JSON: {exc}")
 
 
 def _vector(text: str) -> tuple:
@@ -95,19 +106,19 @@ def _move(text: str):
     from . import moves
     parts = text.split(",")
     if len(parts) < 2:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             "move format is s_1,...,s_b1,l,b (comma separated integers)")
     try:
         nums = [int(p, 10) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError("move entries must be integers")
+        raise _type_error("move entries must be integers")
     return moves.Move(s=tuple(nums[:-2]), l=nums[-2], b=nums[-1])
 
 
 def _class_arg(text: str) -> dict:
     obj = _parse_json_arg(text)
     if not isinstance(obj, dict) or "u" not in obj or "L" not in obj:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             'embedding class must be a JSON object with "u" and "L"')
     return obj
 
@@ -117,10 +128,10 @@ def _bounded_int(low: int, high=None):
         try:
             value = int(text, 10)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            raise _type_error(f"not an integer: {text!r}")
         if value < low or (high is not None and value > high):
             span = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+            raise _type_error(f"{value} is not {span}")
         return value
 
     return parse
@@ -417,10 +428,73 @@ def _add_commands(sub, commands) -> None:
             _add_commands(p.add_subparsers(dest="op", required=True), handler)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
+# argparse's test for a word that starts with "-" and is still a value
+_NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$')
+
+
+def fast_parse(argv):
+    """The namespace `build_parser(argv).parse_args(argv)` gives, read from
+    `COMMANDS` without argparse, when argv is well-formed: a command, its
+    operation if it is a group, its own flags each spelled out once with
+    one value (a store_true flag with none), then its positionals in order,
+    and a value starts with "-" only as a negative number.  Values go
+    through their `type` and absent arguments get their default, as
+    `add_argument` does for the keywords the table uses.  Any other argv,
+    or an exception from a `type`, gives None, and the parser decides."""
+    ns, commands, words = {}, COMMANDS, iter(argv)
+    for dest in ("command", "op"):
+        word = next(words, None)
+        entry = next((c for c in commands if c[0] == word), None)
+        if entry is None:
+            return None
+        ns[dest] = word
+        _, _, handler, arguments = entry
+        if callable(handler):
+            break
+        commands = handler
+    else:
+        return None
+    flags = {a: kw for a, kw in arguments if a.startswith("-")}
+    positionals = [a for a, _ in arguments if a not in flags]
+    given = {}
+    for word in words:
+        if word in flags and word not in given:
+            if flags[word].get("action") == "store_true":
+                given[word] = True
+                continue
+            # a flag that ends argv reads "-", which is no value
+            name, word = word, next(words, "-")
+        elif positionals and word not in flags:
+            name = positionals.pop(0)
+        else:
+            return None
+        if word.startswith("-") and not _NEGATIVE_NUMBER.match(word):
+            return None
+        given[name] = word
+    for name, keywords in arguments:
+        kind = keywords.get("type")
+        if name in given:
+            value = given[name]
+            if kind is not None:
+                try:
+                    value = kind(value)
+                except Exception:  # the parser reports it, or raises it
+                    return None
+        elif keywords.get("required") or name not in flags:
+            return None
+        else:
+            store_true = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if store_true else None)
+        ns[keywords.get("dest", name.lstrip("-"))] = value
+    ns["handler"] = handler
+    return types.SimpleNamespace(**ns)
+
+
+def build_parser(argv=None):
     """The parser for `argv`.  When argv[0] names a command, only that
     command is added; otherwise (no argv, -h, an unknown command) all are.
     For any argv both parsers give the same result and the same output."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="emb7",
         description="Classification calculus for embeddings of 4-manifolds "
@@ -442,10 +516,12 @@ def _emit(payload) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
     except DomainError as exc:

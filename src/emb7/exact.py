@@ -474,12 +474,6 @@ def det_signature(M: IntMatrix) -> tuple:
     return (0 if null else prev), sig
 
 
-def signature(M: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix, computed exactly by
-    `det_signature`."""
-    return det_signature(M)[1]
-
-
 def vector_gcd(v: Sequence[int]) -> int:
     """gcd of the entries; 0 for the zero (or empty) vector."""
     return math.gcd(*(int(x) for x in v)) if v else 0

@@ -86,6 +86,3 @@ def decode_tensor(obj, slices: Optional[int] = None,
         raise ValueError(f"expected {slices} tensor slices, got {len(obj)}")
     return tuple(decode_matrix(m, cols=cols) for m in obj)
 
-
-def encode_tensor(T: Sequence[IntMatrix]) -> list:
-    return [encode_matrix(m) for m in T]

@@ -135,27 +135,12 @@ def builtin(name: str) -> ManifoldData:
 BUILTIN_NAMES = ("s4", "s1xs3", "cp2", "s2xs2", "t2xs2")
 
 
-def to_json(data: ManifoldData) -> dict:
-    obj = {
-        "b1": data.b1,
-        "b2": data.b2,
-        "Q": jsonio.encode_matrix(data.Q),
-        "P": jsonio.encode_matrix(data.P),
-        "T": jsonio.encode_tensor(data.T),
-        "w2": list(data.w2),
-        "sigma": jsonio.encode_int(data.sigma),
-    }
-    if data.name is not None:
-        obj["name"] = data.name
-    return obj
-
-
 _JSON_FIELDS = ("b1", "b2", "Q", "P", "T", "w2", "sigma")
 
 
 def from_json(obj: dict) -> ManifoldData:
-    """Decode `to_json` output; raises ValueError when the object lacks a
-    field or a field does not decode."""
+    """Decode a manifold JSON object (the README's schema); raises
+    ValueError when the object lacks a field or a field does not decode."""
     if not isinstance(obj, dict):
         raise ValueError("manifold data must be a JSON object")
     missing = [k for k in _JSON_FIELDS if k not in obj]

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import emb7
+from emb7 import jsonio
 from emb7.classify import fiber_group
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
                         inverse_unimodular, smith_normal_form)
@@ -21,6 +22,27 @@ def fresh_python(*args, check=False) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=60, check=check)
+
+
+def encode_tensor(T) -> list:
+    return [jsonio.encode_matrix(m) for m in T]
+
+
+def to_json(data: ManifoldData) -> dict:
+    """`data` as a manifold JSON object, the input `manifolds.from_json`
+    reads; the command line only reads such objects."""
+    obj = {
+        "b1": data.b1,
+        "b2": data.b2,
+        "Q": jsonio.encode_matrix(data.Q),
+        "P": jsonio.encode_matrix(data.P),
+        "T": encode_tensor(data.T),
+        "w2": list(data.w2),
+        "sigma": jsonio.encode_int(data.sigma),
+    }
+    if data.name is not None:
+        obj["name"] = data.name
+    return obj
 
 
 def is_valid(data: ManifoldData) -> bool:

@@ -8,12 +8,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emb7
-from conftest import fresh_python
+from conftest import fresh_python, to_json
 from emb7 import cli
 from emb7.cli import COMMANDS, build_parser, main
-from emb7.manifolds import builtin, to_json
+from emb7.manifolds import builtin
 
 
 def run(capsys, *argv):
@@ -587,6 +589,155 @@ class TestParserPerCommand:
         assert capsys.readouterr().out == '{"equal": true}\n'
 
 
+# Words for the fast-path tests.  A negative number is a value to argparse
+# (its pattern matches "-7\n" and Arabic-Indic digits too); every other word
+# that starts with "-" reads as a flag.
+PLAIN = ["cp2", "s1xs3", "", " -1", "abc", "[1]", "[]", "[[1]]", '[["3"]]',
+         "[[1,2],[3,4]]", '{"u": [], "L": [["0"]]}',
+         '{"u": [1], "L": [], "beta": ["7"]}', "1,0,5", "2,-1,3", "3", "0",
+         "+7", " 5 ", "1000", "1001", "1" + "0" * 30, "\u0663", "3_0", "[1",
+         "{", "1,x,2", "5"]
+NEGATIVE = ["-1", "-0", "-3", "-1000", "-1001", "-.5", "-1.5", "-\u0663",
+            "-7\n"]
+ODD = ["-", "--", "-x", "-1,0,5", "- 1", "-1 ", "-1e3", "-h", "--help",
+       "--frob", "--u", "--manifold"]
+EXTRA = ["-h", "--help", "--", "--frob", "extra", "-1"]
+
+
+def type_accepts(keywords, word) -> bool:
+    kind = keywords.get("type")
+    try:
+        if kind is not None:
+            kind(word)
+    except Exception:
+        return False
+    return True
+
+
+@st.composite
+def argvs(draw):
+    """(argv, well_formed): an argv drawn from the table, and whether it has
+    the form that `cli.fast_parse` must read without argparse."""
+    leaves = list(table_leaves())
+    path, arguments = draw(st.sampled_from(leaves))
+    ok = True
+
+    def value(keywords):
+        nonlocal ok
+        pool = draw(st.sampled_from(["sample"] * 6 + ["plain", "plain",
+                                                     "negative", "odd"]))
+        word = (sample(keywords) if pool == "sample" else
+                draw(st.sampled_from({"plain": PLAIN, "negative": NEGATIVE,
+                                      "odd": ODD}[pool])))
+        ok = ok and pool != "odd" and type_accepts(keywords, word)
+        return word
+
+    flags = [a for a in arguments if a[0].startswith("-")]
+    words = []
+    for flag, keywords in draw(st.permutations(flags)):
+        form = draw(st.sampled_from(["exact"] * 7 + [
+            "omit", "abbrev", "equals", "repeat", "valueless", "extra"]))
+        short = flag[:draw(st.integers(3, max(3, len(flag) - 1)))]
+        if short == flag and form == "abbrev":
+            form = "exact"  # "--L" has no shorter form
+        ok = ok and (form == "exact" or form == "omit"
+                     and not keywords.get("required"))
+        if form == "omit":
+            continue
+        store_true = keywords.get("action") == "store_true"
+        if form == "equals":
+            words.append(flag + "=" + ("1" if store_true else value(keywords)))
+            continue
+        words.append(short if form == "abbrev" else flag)
+        if not store_true and form != "valueless":
+            words.append(value(keywords))
+        if form == "repeat":
+            words.append(flag)
+            if not store_true:
+                words.append(value(keywords))
+        elif form == "extra":
+            words.append(value({}))
+    positionals = [value(kw) for a, kw in arguments
+                   if not a.startswith("-")]
+    if positionals and draw(st.booleans()) and draw(st.booleans()):
+        ok = False
+        del positionals[draw(st.integers(0, len(positionals) - 1))]
+    words += positionals
+    start = list(path)
+    mutation = draw(st.sampled_from(["none"] * 8 + [
+        "drop", "unknown", "help", "extra"]))
+    if mutation == "drop":
+        start = start[:-1]
+    elif mutation == "unknown":
+        start[-1] = start[-1][:-1]
+    elif mutation == "help":
+        start.insert(0, "-h")
+    elif mutation == "extra":
+        words.insert(draw(st.integers(0, len(words))),
+                     draw(st.sampled_from(EXTRA)))
+    return start + words, ok and mutation == "none"
+
+
+class TestFastParse:
+    """`cli.fast_parse` reads a well-formed argv as the parser does and
+    leaves every other argv to it."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None,
+              database=None)
+    @given(argvs())
+    def test_agrees_with_argparse(self, drawn):
+        argv, well_formed = drawn
+        got = cli.fast_parse(argv)
+        if well_formed:
+            assert got is not None, argv
+        if got is not None:
+            assert vars(got) == vars(build_parser(argv).parse_args(argv))
+
+    @pytest.mark.parametrize("path, arguments", list(table_leaves()),
+                             ids=[" ".join(p) for p, _ in table_leaves()])
+    def test_every_complete_argv(self, path, arguments):
+        argv = table_argv(path, arguments)
+        got = cli.fast_parse(argv)
+        assert got is not None
+        assert vars(got) == vars(build_parser(argv).parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "equal", "-2", "1", "-2", "5"],
+        ["tau", "compose", "-7\n", "-\u0663", "0", "-0"],
+        ["link", "tau", "--l", "-3", "--b", "-7", "--resolution", "2"],
+        ["fiber", "--manifold", "-1", "--L", "[[2]]", "--cap", "0"],
+        ["fiber", "--L", "[[-2]]", "--enumerate", "--manifold", "s1xs3"],
+        ["kappa-enum", "--manifold", "", "--bound", "-1"],
+        ["validate", "-12"],
+    ])
+    def test_negative_numbers_are_values(self, argv):
+        got = cli.fast_parse(argv)
+        assert got is not None
+        assert vars(got) == vars(build_parser(argv).parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["fiber", "-h"], ["tau", "equal", "--help"],
+        ["fib", "--manifold", "s1xs3", "--L", "[[2]]"],
+        ["tau", "2", "1"], ["link"],
+        ["fiber", "--manifold=s1xs3", "--L", "[[2]]"],
+        ["fiber", "--man", "s1xs3", "--L", "[[2]]"],
+        ["fiber", "--manifold", "a", "--manifold", "b", "--L", "[[2]]"],
+        ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--frob"],
+        ["fiber", "--manifold", "s1xs3", "--L"],
+        ["fiber", "--L", "[[2]]"],
+        ["fiber", "--", "--manifold", "s1xs3", "--L", "[[2]]"],
+        ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate", "1"],
+        ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--cap", "-1"],
+        ["snf", "--matrix", "-x"], ["snf", "--matrix", "[["],
+        ["validate", "-"], ["validate", "a", "b"], ["tau", "equal", "2", "1"],
+        ["tau", "equal", "2", "-1,0", "2", "5"],
+        ["move", "apply", "--manifold", "s1xs3", "--class", "[]",
+         "--move", "1,0,5"],
+    ])
+    def test_other_argv_falls_back(self, argv):
+        assert cli.fast_parse(argv) is None
+
+
 class TestNumpyOnlyForLinkTau:
     def test_exact_commands_load_no_numpy(self):
         calls = [
@@ -724,6 +875,40 @@ class TestImportsPerCommand:
     def test_command(self, argv, absent):
         loaded = emb7_modules_after(*argv)
         assert not loaded & {f"emb7.{m}" for m in absent}
+
+
+class TestNoArgparseWhenWellFormed:
+    """A well-formed call never builds a parser: argparse, and the gettext
+    and locale it imports, stay unloaded."""
+
+    def test_well_formed_calls(self):
+        calls = [
+            ["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
+            ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
+            ["classify", "equal", "--manifold", "s1xs3",
+             "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
+             "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
+            ["kappa-enum", "--manifold", "s2xs2", "--bound", "2"],
+            ["snf", "--matrix", "[[2,4],[6,8]]"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import emb7.cli\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert emb7.cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted({'argparse', 'gettext', 'locale'}\n"
+            "                         & set(sys.modules)))\n"
+            "print(json.dumps(loaded))\n")
+        out = fresh_python("-c", script, json.dumps(calls), check=True)
+        assert json.loads(out.stdout) == [[]] * len(calls)
+
+    def test_malformed_call_prints_usage(self):
+        proc = fresh_python("-m", "emb7.cli", "fiber", "--frob")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: emb7 fiber ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestBarePackage:

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from conftest import (basis_change, is_valid, random_form_manifold,
-                      random_unimodular)
+                      random_unimodular, to_json)
 from emb7.exact import IntMatrix
-from emb7.manifolds import BUILTIN_NAMES, builtin, from_json, to_json, validate
+from emb7.manifolds import BUILTIN_NAMES, builtin, from_json, validate
 
 
 def test_builtins_validate(builtin_data):
