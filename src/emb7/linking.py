@@ -6,7 +6,11 @@ lambda invariant.
 The degree is evaluated by deterministic tensor-product quadrature over
 Hopf coordinates on each parametrizing 3-sphere.  The pair sum over nodes
 runs in one numpy kernel, `pair_sum`, that reduces the 7x7 determinant of
-every node pair to matrix products over Pluecker coordinates.
+every node pair to matrix products over Pluecker coordinates.  The tau
+fibers are projected from e5, the real axis of the second 4-block, which
+conjugation by e^{i t} fixes; that conjugation shifts the Hopf angle xi2
+and maps each fiber to itself, so one side of their pair sum needs only
+the xi2 = 0 column of the grid.
 """
 
 from __future__ import annotations
@@ -47,22 +51,27 @@ _FD_STEP = 1e-5
 class ParamCycle:
     """A smooth parametrized oriented 3-cycle in R^7.
 
-    `evaluator` maps unit quaternions (..., 4) to points (..., 7).
-    `frame_jacobian`, when given, returns the (..., 3, 7) derivative along
-    the orthonormal tangent frame (x*i, x*j, x*k); otherwise central
-    differences along those directions are used with step `_FD_STEP`.
+    `evaluator` maps unit quaternions (..., 4) to points (..., 7).  `jet`,
+    when given, returns the points together with their (..., 3, 7)
+    derivative along the orthonormal tangent frame (x*i, x*j, x*k);
+    otherwise central differences along those directions are used with
+    step `_FD_STEP`.  `xi2_symmetric` marks a cycle that conjugation
+    x -> q x q^-1 by q = e^{i t} maps to its image under the rotation of
+    R^7 that conjugating both 4-blocks by q induces on the projection from
+    the pole e5, which that conjugation fixes (see `linking_number`).
     """
 
     evaluator: Callable
-    frame_jacobian: Optional[Callable] = None
+    jet: Optional[Callable] = None
     orientation: int = 1
+    xi2_symmetric: bool = False
 
     def positions(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        if self.frame_jacobian is not None:
-            return self.frame_jacobian(x)
+    def points_and_jacobian(self, x: np.ndarray) -> tuple:
+        if self.jet is not None:
+            return self.jet(x)
         h = _FD_STEP
         rows = []
         for q in (quat.QI, quat.QJ, quat.QK):
@@ -70,12 +79,10 @@ class ParamCycle:
             fwd = self.evaluator(quat.qmul(x, step))
             back = self.evaluator(quat.qmul(x, quat.qconj(step)))
             rows.append((fwd - back) / (2.0 * h))
-        return np.stack(rows, axis=-2)
+        return self.evaluator(x), np.stack(rows, axis=-2)
 
-    def reversed(self) -> "ParamCycle":
-        return ParamCycle(evaluator=self.evaluator,
-                          frame_jacobian=self.frame_jacobian,
-                          orientation=-self.orientation)
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.points_and_jacobian(x)[1]
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,8 @@ def _midpoint_grid_points(m: int, length: float) -> tuple:
 
 
 # Unit-sphere cycles with both 4-blocks of norm 1/sqrt(2) stay this far
-# from the projection pole, so stereographic projection contracts
-# distances by at most this factor.
+# from any coordinate-axis pole, e5 included, so stereographic projection
+# contracts distances by at most this factor.
 _POLE_FACTOR = 1.0 + 1.0 / math.sqrt(2.0)
 
 
@@ -160,9 +167,15 @@ def tau_fiber_separation(l: int) -> float:
     return math.sqrt(square) / _POLE_FACTOR
 
 
+def _xi2_column(grid: SphereGrid, m: int) -> SphereGrid:
+    """The xi2 = 0 nodes of a hopf_grid with m nodes per angle, each
+    weighted as the m nodes of its xi2 row."""
+    return SphereGrid(points=grid.points[::m], tangents=grid.tangents[::m],
+                      weights=grid.weights[::m] * m)
+
+
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
-    F = cycle.positions(grid.points)
-    J = cycle.jacobian(grid.points)
+    F, J = cycle.points_and_jacobian(grid.points)
     fr = quat.frame(grid.points)
     coeff = np.einsum("nad,nbd->nab", grid.tangents, fr)
     dF = np.einsum("nab,nbi->nai", coeff, J)
@@ -309,12 +322,19 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     certification happens here.  Raises SeparationError when it is not
     positive and, if `require_convergence`, UnconvergedError when the
     estimate is not within 0.25 of an integer.
+
+    When both cycles are `xi2_symmetric`, a shift of xi2 by a grid step
+    maps every node pair to a pair with the same integrand, so X is summed
+    over the xi2 = 0 column only: 2 * resolution times fewer pairs, and
+    the same sum up to rounding.
     """
     if separation <= 0:
         raise SeparationError("caller-supplied separation is not positive")
     grid = hopf_grid(resolution)
-    fx, dfx, wx = _cycle_nodes(X, grid)
     fy, dfy, wy = _cycle_nodes(Y, grid)
+    if X.xi2_symmetric and Y.xi2_symmetric:
+        grid = _xi2_column(grid, 2 * resolution)
+    fx, dfx, wx = _cycle_nodes(X, grid)
     raw = pair_sum(fx, dfx, wx, fy, dfy, wy)
     estimate = (INTEGRAND_SIGN * X.orientation * Y.orientation
                 * raw / VOL_S6)
@@ -332,41 +352,22 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
 # Twisted torus embeddings S^1 x S^3 -> S^7 in R^8
 
 
-def _const_jet(q: np.ndarray, like: np.ndarray) -> tuple:
-    value = np.broadcast_to(q, like.shape).copy()
-    dvalue = np.zeros(like.shape[:-1] + (3, 4))
-    return (value, dvalue)
-
-
-def _x_jet(x: np.ndarray) -> tuple:
-    return (x, quat.frame(x))
-
-
-def _frame_jets(x: np.ndarray, l: int, b: int) -> tuple:
-    """Jets of the orthonormal 2-frame alpha(x) = (x^l, x^l (x^b i x^-b)).
-
-    The second vector is a unit imaginary conjugate of i rotated by x^l, so
-    the frame is orthonormal for every x; (l, b) = (0, 0) gives the
-    constant frame (1, i).
-    """
-    xj = _x_jet(x)
-    a1 = quat.jet_pow(xj, l)
-    if b == 0:
-        w = _const_jet(quat.QI, x)
-    else:
-        xb = quat.jet_pow(xj, b)
-        w = quat.jet_mul(quat.jet_mul(xb, _const_jet(quat.QI, x)),
-                         quat.jet_conj(xb))
-    a2 = quat.jet_mul(a1, w)
-    return a1, a2
+# The projection pole is e5, the real axis of the second 4-block.  The
+# rotation e5 -> e8, e8 -> -e5 of SO(8) takes it to (0,...,0,1), the pole of
+# the standard projection, so orientations are unchanged.
+_POLE_ORDER = [0, 1, 2, 3, 7, 5, 6, 4]
+_POLE_SIGN = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
 
 
 def stereographic(y: np.ndarray) -> np.ndarray:
-    """Projection of S^7 minus the pole (0,...,0,1) onto R^7."""
+    """Projection of S^7 minus the pole e5 onto R^7."""
+    y = y[..., _POLE_ORDER] * _POLE_SIGN
     return y[..., :7] / (1.0 - y[..., 7:8])
 
 
 def stereographic_jet(y: np.ndarray, dy: np.ndarray) -> tuple:
+    y = y[..., _POLE_ORDER] * _POLE_SIGN
+    dy = dy[..., _POLE_ORDER] * _POLE_SIGN
     denom = 1.0 - y[..., 7:8]
     z = y[..., :7] / denom
     dz = (dy[..., :7] / denom[..., None, :]
@@ -380,79 +381,34 @@ class TauEmbedding:
 
     Maps (theta, x) to (x, alpha1(x) cos(theta) + alpha2(x) sin(theta)) on
     the sphere of radius 1 (both 4-blocks have norm 1/sqrt(2)), so the
-    stereographic pole (0,...,0,1) is never in the image.
+    stereographic pole e5 is never in the image.
     """
 
     l: int
     b: int
 
-    def evaluate(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        (a1, _), (a2, _) = _frame_jets(x, self.l, self.b)
-        t = np.asarray(theta)[..., None]
-        abar = a1 * np.cos(t) + a2 * np.sin(t)
-        return np.concatenate([x, abar], axis=-1) / math.sqrt(2.0)
-
     def fiber(self, sign: int = 1, project: bool = True) -> ParamCycle:
         """The cycle x -> (x, sign * x^l)/sqrt(2) cut out by theta = 0 or
-        pi, stereographically projected into R^7 by default."""
+        pi, stereographically projected into R^7 by default.  Conjugation
+        by e^{i t} commutes with x -> x^l, so the projected fiber is
+        `xi2_symmetric`."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         l = self.l
 
-        def evaluator(x):
-            v, _ = quat.jet_pow(_x_jet(x), l)
+        def jet(x):
+            fr = quat.frame(x)
+            v, dv = quat.jet_pow((x, fr), l)
             y = np.concatenate([x, sign * v], axis=-1) / math.sqrt(2.0)
-            return stereographic(y) if project else y
+            dy = np.concatenate([fr, sign * dv], axis=-1) / math.sqrt(2.0)
+            return stereographic_jet(y, dy) if project else (y, dy)
 
-        def frame_jacobian(x):
-            v, dv = quat.jet_pow(_x_jet(x), l)
-            y = np.concatenate([x, sign * v], axis=-1) / math.sqrt(2.0)
-            dy = np.concatenate([quat.frame(x), sign * dv], axis=-1) \
-                / math.sqrt(2.0)
-            if not project:
-                return dy
-            _, dz = stereographic_jet(y, dy)
-            return dz
-
-        return ParamCycle(evaluator=evaluator, frame_jacobian=frame_jacobian)
+        return ParamCycle(evaluator=lambda x: jet(x)[0], jet=jet,
+                          xi2_symmetric=project)
 
 
 def tau_embedding(l: int, b: int) -> TauEmbedding:
     return TauEmbedding(l=int(l), b=int(b))
-
-
-def t1_fiber(sign: int = 1, project: bool = True) -> ParamCycle:
-    """Fiber cycle of the quaternion-multiplication model of the (1, 0)
-    torus: y -> (sign*y, y)/sqrt(2), projected into R^7 by default."""
-
-    def evaluator(y):
-        z = np.concatenate([sign * y, y], axis=-1) / math.sqrt(2.0)
-        return stereographic(z) if project else z
-
-    return ParamCycle(evaluator=evaluator)
-
-
-def t1_separation() -> float:
-    # the k = 1 tau fibers with their 4-blocks swapped
-    return tau_fiber_separation(1)
-
-
-def t2_fiber(sign: int = 1, project: bool = True) -> ParamCycle:
-    """Fiber cycle of the Hopf-map model of the (0, 1) torus:
-    y -> (sign * y i y^-1, y)/sqrt(2), projected into R^7 by default."""
-
-    def evaluator(y):
-        eta = quat.qmul(quat.qmul(y, np.broadcast_to(quat.QI, y.shape)),
-                        quat.qconj(y))
-        z = np.concatenate([sign * eta, y], axis=-1) / math.sqrt(2.0)
-        return stereographic(z) if project else z
-
-    return ParamCycle(evaluator=evaluator)
-
-
-def t2_separation() -> float:
-    # y -> y i y^-1 is 2-Lipschitz, so the k = 2 bound holds, blocks swapped
-    return tau_fiber_separation(2)
 
 
 @dataclass(frozen=True)
@@ -471,9 +427,9 @@ def verify_lambda_tau(l: int, b: int,
     """Check that the theta = 0 and theta = pi fibers of the (l, b) torus
     link exactly l times.
 
-    The default resolution is tuned for |l| <= 2 (residuals below 3e-3);
+    The default resolution is tuned for |l| <= 2 (residuals below 5e-4);
     larger twisting sharpens the integrand and needs a finer grid, e.g.
-    |l| = 3 wants resolution >= 9.
+    |l| = 3 reaches residual 5e-3 at resolution 9.
     """
     emb = tau_embedding(l, b)
     sep = tau_fiber_separation(l)

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 import os
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import emb7
-from emb7 import jsonio
+import emb7.linking as lk
+from emb7 import jsonio, quat
 from emb7.classify import fiber_group
 from emb7.exact import (AbelianGroupPresentation, IntMatrix,
                         inverse_unimodular, smith_normal_form)
@@ -227,6 +230,81 @@ def direct_sum(d1: ManifoldData, d2: ManifoldData) -> ManifoldData:
         name=f"{d1.name}#{d2.name}")
     assert not validate(data)
     return data
+
+
+# --- test-only linking models ------------------------------------------------
+
+
+def reversed_cycle(cycle: lk.ParamCycle) -> lk.ParamCycle:
+    return dataclasses.replace(cycle, orientation=-cycle.orientation)
+
+
+def const_jet(q: np.ndarray, like: np.ndarray) -> tuple:
+    value = np.broadcast_to(q, like.shape).copy()
+    dvalue = np.zeros(like.shape[:-1] + (3, 4))
+    return (value, dvalue)
+
+
+def frame_jets(x: np.ndarray, l: int, b: int) -> tuple:
+    """Jets of the orthonormal 2-frame alpha(x) = (x^l, x^l (x^b i x^-b)).
+
+    The second vector is a unit imaginary conjugate of i rotated by x^l, so
+    the frame is orthonormal for every x; (l, b) = (0, 0) gives the
+    constant frame (1, i).
+    """
+    xj = (x, quat.frame(x))
+    a1 = quat.jet_pow(xj, l)
+    if b == 0:
+        w = const_jet(quat.QI, x)
+    else:
+        xb = quat.jet_pow(xj, b)
+        w = quat.jet_mul(quat.jet_mul(xb, const_jet(quat.QI, x)),
+                         quat.jet_conj(xb))
+    a2 = quat.jet_mul(a1, w)
+    return a1, a2
+
+
+def tau_evaluate(emb: lk.TauEmbedding, theta: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The torus `emb` at (theta, x), on the unit sphere of R^8."""
+    (a1, _), (a2, _) = frame_jets(x, emb.l, emb.b)
+    t = np.asarray(theta)[..., None]
+    abar = a1 * np.cos(t) + a2 * np.sin(t)
+    return np.concatenate([x, abar], axis=-1) / math.sqrt(2.0)
+
+
+def t1_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
+    """Fiber cycle of the quaternion-multiplication model of the (1, 0)
+    torus: y -> (sign*y, y)/sqrt(2), projected into R^7 by default."""
+
+    def evaluator(y):
+        z = np.concatenate([sign * y, y], axis=-1) / math.sqrt(2.0)
+        return lk.stereographic(z) if project else z
+
+    return lk.ParamCycle(evaluator=evaluator)
+
+
+def t1_separation() -> float:
+    # the k = 1 tau fibers with their 4-blocks swapped
+    return lk.tau_fiber_separation(1)
+
+
+def t2_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
+    """Fiber cycle of the Hopf-map model of the (0, 1) torus:
+    y -> (sign * y i y^-1, y)/sqrt(2), projected into R^7 by default."""
+
+    def evaluator(y):
+        eta = quat.qmul(quat.qmul(y, np.broadcast_to(quat.QI, y.shape)),
+                        quat.qconj(y))
+        z = np.concatenate([sign * eta, y], axis=-1) / math.sqrt(2.0)
+        return lk.stereographic(z) if project else z
+
+    return lk.ParamCycle(evaluator=evaluator)
+
+
+def t2_separation() -> float:
+    # y -> y i y^-1 is 2-Lipschitz, so the k = 2 bound holds, blocks swapped
+    return lk.tau_fiber_separation(2)
 
 
 @pytest.fixture

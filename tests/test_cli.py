@@ -182,10 +182,10 @@ class TestExitCodes:
             assert code == 2 and out == "" and "usage:" in err
 
     def test_unconverged_link_is_exit_one(self, capsys):
-        # resolution 2 rounds tau(2, 0) to 3 with residual 0.21: the check
+        # resolution 5 rounds tau(4, 0) to 7 with residual 0.14: the check
         # fails, and the payload still reports what was measured
-        code, payload = run_json(capsys, "link", "tau", "--l", "2",
-                                 "--b", "0", "--resolution", "2")
+        code, payload = run_json(capsys, "link", "tau", "--l", "4",
+                                 "--b", "0", "--resolution", "5")
         assert code == 1
         assert payload["pass"] is False
         assert set(payload) == {"estimate", "value", "residual", "pass"}

@@ -8,6 +8,8 @@ import pytest
 
 import emb7.linking as lk
 import emb7.quat as quat
+from conftest import (frame_jets, reversed_cycle, t1_fiber, t1_separation,
+                      t2_fiber, t2_separation, tau_evaluate)
 
 
 def reference_pair_sum(fx, dfx, wx, fy, dfy, wy):
@@ -120,14 +122,14 @@ class TestTauEmbedding:
         for (l, b) in ((0, 0), (1, 0), (0, 1), (-2, 3)):
             emb = lk.tau_embedding(l, b)
             for t in thetas:
-                y = emb.evaluate(np.full(grid.points.shape[0], t),
+                y = tau_evaluate(emb, np.full(grid.points.shape[0], t),
                                  grid.points)
                 assert np.allclose(np.linalg.norm(y, axis=-1), 1.0)
 
     def test_constant_frame_at_zero(self):
         emb = lk.tau_embedding(0, 0)
         x = lk.hopf_grid(2).points
-        (a1, _), (a2, _) = lk._frame_jets(x, 0, 0)
+        (a1, _), (a2, _) = frame_jets(x, 0, 0)
         assert np.allclose(a1, quat.QONE)
         assert np.allclose(a2, quat.QI)
 
@@ -135,7 +137,7 @@ class TestTauEmbedding:
         emb = lk.tau_embedding(2, 1)
         xs = lk.hopf_grid(3).points
         thetas = 2 * math.pi * np.arange(8) / 8
-        pts = np.concatenate([emb.evaluate(np.full(len(xs), t), xs)
+        pts = np.concatenate([tau_evaluate(emb, np.full(len(xs), t), xs)
                               for t in thetas])
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
@@ -152,7 +154,7 @@ class TestTauEmbedding:
         for l in (-2, 0, 3):
             raw = lk.tau_embedding(l, 1).fiber(+1, project=False)
             y = raw.positions(lk.hopf_grid(4).points)
-            assert np.max(np.abs(y[:, 7])) < 1 / math.sqrt(2) + 1e-12
+            assert np.max(np.abs(y[:, 4])) < 1 / math.sqrt(2) + 1e-12
 
 
 class TestLinkingNumber:
@@ -199,7 +201,8 @@ class TestLinkingNumber:
         sep = lk.tau_fiber_separation(1)
         plain = lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=4,
                                   separation=sep)
-        flipped = lk.linking_number(emb.fiber(+1).reversed(), emb.fiber(-1),
+        flipped = lk.linking_number(reversed_cycle(emb.fiber(+1)),
+                                    emb.fiber(-1),
                                     resolution=4, separation=sep,
                                     require_convergence=False)
         assert abs(plain.estimate + flipped.estimate) < 1e-12
@@ -320,6 +323,43 @@ class TestPairKernel:
         assert len(outs) == 1, outs
 
 
+class TestXi2Column:
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    def test_column_equals_full_grid(self, n):
+        # conjugation by e^{i t} shifts xi2 and fixes the pole e5, so X's
+        # xi2 = 0 column against Y's whole grid gives the full-grid sum
+        for l in range(-3, 4):
+            for b in (0, 1):
+                full = lk.pair_sum(*tau_nodes(l, b, n))
+                emb = lk.tau_embedding(l, b)
+                res = lk.linking_number(
+                    emb.fiber(+1), emb.fiber(-1), resolution=n,
+                    separation=lk.tau_fiber_separation(l),
+                    require_convergence=False)
+                column = res.estimate * lk.VOL_S6 / lk.INTEGRAND_SIGN
+                assert abs(column - full) \
+                    <= 1e-12 * max(abs(full), lk.VOL_S6)
+
+    def test_only_tau_fibers_take_the_column(self, monkeypatch):
+        sizes = []
+        nodes = lk._cycle_nodes
+
+        def recorded(cycle, grid):
+            sizes.append(len(grid.points))
+            return nodes(cycle, grid)
+
+        monkeypatch.setattr(lk, "_cycle_nodes", recorded)
+        emb = lk.tau_embedding(2, 0)
+        lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
+                          separation=lk.tau_fiber_separation(2))
+        assert sorted(sizes) == [5 * 10, 5 * 10 * 10]
+        sizes.clear()
+        lk.linking_number(round_sphere([0] * 7),
+                          round_sphere([5, 0, 0, 0, 0, 0, 0]),
+                          resolution=3, separation=3.0)
+        assert sizes == [3 * 6 * 6] * 2
+
+
 class TestVerify:
     def test_twisting_equals_linking(self):
         for (l, b) in ((0, 0), (1, 0), (2, 1)):
@@ -334,11 +374,11 @@ class TestVerify:
     def test_alternative_models(self):
         # quaternion-multiplication model of the (1, 0) torus links once,
         # the Hopf model of the (0, 1) torus does not link
-        r1 = lk.linking_number(lk.t1_fiber(+1), lk.t1_fiber(-1),
-                               resolution=5, separation=lk.t1_separation())
+        r1 = lk.linking_number(t1_fiber(+1), t1_fiber(-1),
+                               resolution=5, separation=t1_separation())
         assert r1.value == 1
-        r2 = lk.linking_number(lk.t2_fiber(+1), lk.t2_fiber(-1),
-                               resolution=5, separation=lk.t2_separation())
+        r2 = lk.linking_number(t2_fiber(+1), t2_fiber(-1),
+                               resolution=5, separation=t2_separation())
         assert r2.value == 0
 
 
@@ -389,7 +429,7 @@ class TestSeparation:
         assert 0 < floor <= lk.tau_fiber_separation(k)
 
     def test_other_models(self):
-        assert 0 < lk.t1_separation() <= sampled_min(
-            lk.t1_fiber(+1), lk.t1_fiber(-1), 1)
-        assert 0 < lk.t2_separation() <= sampled_min(
-            lk.t2_fiber(+1), lk.t2_fiber(-1), 2)
+        assert 0 < t1_separation() <= sampled_min(
+            t1_fiber(+1), t1_fiber(-1), 1)
+        assert 0 < t2_separation() <= sampled_min(
+            t2_fiber(+1), t2_fiber(-1), 2)
