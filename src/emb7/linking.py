@@ -8,9 +8,10 @@ Hopf coordinates on each parametrizing 3-sphere.  The pair sum over nodes
 runs in one numpy kernel, `pair_sum`, that reduces the 7x7 determinant of
 every node pair to matrix products over Pluecker coordinates.  The tau
 fibers are projected from e5, the real axis of the second 4-block, which
-conjugation by e^{i t} fixes; that conjugation shifts the Hopf angle xi2
-and maps each fiber to itself, so one side of their pair sum needs only
-the xi2 = 0 column of the grid.
+conjugation by any unit quaternion fixes while mapping each fiber to
+itself.  It shifts xi2 or reflects both Hopf angles, so one fiber needs
+only the xi2 = 0 column of the grid, and the other half of that column,
+rotated into its xi2 shifts.
 """
 
 from __future__ import annotations
@@ -55,16 +56,17 @@ class ParamCycle:
     when given, returns the points together with their (..., 3, 7)
     derivative along the orthonormal tangent frame (x*i, x*j, x*k);
     otherwise central differences along those directions are used with
-    step `_FD_STEP`.  `xi2_symmetric` marks a cycle that conjugation
-    x -> q x q^-1 by q = e^{i t} maps to its image under the rotation of
-    R^7 that conjugating both 4-blocks by q induces on the projection from
-    the pole e5, which that conjugation fixes (see `linking_number`).
+    step `_FD_STEP`.  `conjugation_symmetric` marks a cycle that
+    conjugation x -> q x q^-1 by every unit quaternion q maps to its image
+    under the rotation of R^7 that conjugating both 4-blocks by q induces
+    on the projection from the pole e5, which every such conjugation
+    fixes: `linking_number` uses q = j as well as q = e^{i t}.
     """
 
     evaluator: Callable
     jet: Optional[Callable] = None
     orientation: int = 1
-    xi2_symmetric: bool = False
+    conjugation_symmetric: bool = False
 
     def positions(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(x)
@@ -100,6 +102,11 @@ def hopf_grid(n: int) -> SphereGrid:
     coordinate volume factor rides inside the tangent vectors, so the
     weights are plain products of the one-dimensional rule weights.
     """
+    return _hopf_nodes(n, 2 * n, 2 * n)
+
+
+def _hopf_nodes(n: int, rows: int, cols: int) -> SphereGrid:
+    """The nodes of hopf_grid(n) on its first `rows` xi1, `cols` xi2."""
     if n < 1:
         raise ValueError("resolution must be >= 1")
     nodes, wts = np.polynomial.legendre.leggauss(n)
@@ -109,22 +116,18 @@ def hopf_grid(n: int) -> SphereGrid:
     xi = 2.0 * math.pi * np.arange(m) / m
     w_xi = 2.0 * math.pi / m
 
-    E, X1, X2 = np.meshgrid(eta, xi, xi, indexing="ij")
+    E, X1, X2 = np.meshgrid(eta, xi[:rows], xi[:cols], indexing="ij")
     ce, se = np.cos(E).ravel(), np.sin(E).ravel()
     c1, s1 = np.cos(X1).ravel(), np.sin(X1).ravel()
     c2, s2 = np.cos(X2).ravel(), np.sin(X2).ravel()
 
     pts = np.stack([ce * c1, ce * s1, se * c2, se * s2], axis=-1)
     d_eta = np.stack([-se * c1, -se * s1, ce * c2, ce * s2], axis=-1)
-    d_xi1 = np.stack([-ce * s1, ce * c1, np.zeros_like(ce), np.zeros_like(ce)],
-                     axis=-1)
-    d_xi2 = np.stack([np.zeros_like(ce), np.zeros_like(ce), -se * s2, se * c2],
-                     axis=-1)
+    z = np.zeros_like(ce)
+    d_xi1 = np.stack([-ce * s1, ce * c1, z, z], axis=-1)
+    d_xi2 = np.stack([z, z, -se * s2, se * c2], axis=-1)
     tangents = np.stack([d_eta, d_xi1, d_xi2], axis=-2)
-
-    W = np.meshgrid(w_eta, np.full(m, w_xi), np.full(m, w_xi),
-                    indexing="ij")
-    weights = (W[0] * W[1] * W[2]).ravel()
+    weights = np.repeat(w_eta * w_xi * w_xi, rows * cols)
     return SphereGrid(points=pts, tangents=tangents, weights=weights)
 
 
@@ -167,11 +170,30 @@ def tau_fiber_separation(l: int) -> float:
     return math.sqrt(square) / _POLE_FACTOR
 
 
-def _xi2_column(grid: SphereGrid, m: int) -> SphereGrid:
-    """The xi2 = 0 nodes of a hopf_grid with m nodes per angle, each
-    weighted as the m nodes of its xi2 row."""
-    return SphereGrid(points=grid.points[::m], tangents=grid.tangents[::m],
-                      weights=grid.weights[::m] * m)
+def _xi2_column(n: int, half: bool = False) -> SphereGrid:
+    """The xi2 = 0 nodes of hopf_grid(n).  With `half`, only the rows
+    xi1 in [0, pi]; those strictly inside weigh twice, as they stand also
+    for their images xi1 -> -xi1 under conjugation by j."""
+    grid = _hopf_nodes(n, n + 1 if half else 2 * n, 1)
+    if half:
+        grid.weights.reshape(n, n + 1)[:, 1:n] *= 2.0
+    return grid
+
+
+def _xi2_orbit(f: np.ndarray, df: np.ndarray, w: np.ndarray,
+               m: int) -> tuple:
+    """Nodes (f, df, w) of an xi2 = 0 column and their shifts by 2 pi k / m
+    along xi2, k < m, in hopf_grid's order: conjugation by e^{i pi k / m}
+    makes that shift, keeps the coordinate tangents and rotates R^7 by
+    2 pi k / m in the planes (2, 3) and (4, 6)."""
+    t = 2.0 * math.pi * np.arange(m) / m
+    c, s = np.cos(t), np.sin(t)
+    rot = np.broadcast_to(np.eye(7), (m, 7, 7)).copy()
+    for a, b in ((2, 3), (4, 6)):
+        rot[:, a, a], rot[:, a, b], rot[:, b, a], rot[:, b, b] = c, -s, s, c
+    return (np.einsum("kij,nj->nki", rot, f).reshape(-1, 7),
+            np.einsum("kij,naj->nkai", rot, df).reshape(-1, 3, 7),
+            np.repeat(w, m))
 
 
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
@@ -190,23 +212,22 @@ _TRIPLES = np.array(list(combinations(range(7), 3)))
 
 
 @functools.cache
-def _laplace_signs() -> np.ndarray:
-    """S[i, J, K] = sign of the row permutation (i, J, K) when the rows of a
-    7x7 matrix split into a singleton i and two sorted triples J and K,
-    zero when they do not split (140 nonzeros).  Laplace expansion of
-    det[d | X | Y] along its column blocks is sum S[i, J, K] d_i X_J Y_K,
-    where X_J, Y_K are 3x3 minors.  Built on first use and read-only."""
-    index = {tuple(t): k for k, t in enumerate(_TRIPLES.tolist())}
-    signs = np.zeros((7, 35, 35))
-    for i in range(7):
-        rest = [r for r in range(7) if r != i]
-        for J in combinations(rest, 3):
-            K = tuple(r for r in rest if r not in J)
-            perm = (i,) + J + K
-            inversions = sum(a > b for a, b in combinations(perm, 2))
-            signs[i, index[J], index[K]] = -1.0 if inversions % 2 else 1.0
-    signs.flags.writeable = False
-    return signs
+def _laplace_terms() -> tuple:
+    """(I, J, S), each (4, 35): the 140 terms of the Laplace expansion
+    det[d | X | Y] = sum_K Y_K sum_t S[t, K] d_I[t, K] X_J[t, K] along its
+    column blocks, X_J, Y_K being 3x3 minors on the triples of _TRIPLES.
+    I[:, K] are the rows outside K in increasing order, J the other three,
+    S the sign of the row permutation (I, J, K).  Built on first use."""
+    index = {t: k for k, t in enumerate(map(tuple, _TRIPLES.tolist()))}
+    I, J, S = (np.zeros((4, 35), dtype=dt) for dt in (int, int, float))
+    for k, K in enumerate(index):
+        rest = [r for r in range(7) if r not in K]
+        for t, i in enumerate(rest):
+            Jt = tuple(r for r in rest if r != i)
+            inversions = sum(a > b for a, b in combinations((i,) + Jt + K, 2))
+            I[t, k], J[t, k], S[t, k] = i, index[Jt], (-1) ** inversions
+    I.flags.writeable = J.flags.writeable = S.flags.writeable = False
+    return I, J, S
 
 
 # Scratch memory of one row chunk of the pair kernel (two float64 blocks).
@@ -263,7 +284,7 @@ def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
     The determinant is linear in D, so expanding along its column blocks
     gives det = p_a . w_b - v_a . q_b, where v and w are the Pluecker
     coordinates of dF_a and -dH_b and p_a, q_b contract them with F_a and
-    H_b through the sign tensor of _laplace_signs.  The whole sum is then
+    H_b through the terms of _laplace_terms.  The whole sum is then
     the BLAS-shaped wx^T ((A B^T) * r2^(-7/2)) wy with A = [p | v],
     B = [w | -q] and r2 = |F|^2 + |H|^2 - 2 F H^T.  Row chunks stay within
     _CHUNK_BYTES and are added in index order, so results are reproducible
@@ -277,11 +298,12 @@ def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
     center = 0.5 * (fx.mean(axis=0) + fy.mean(axis=0))
     fx = fx - center
     fy = fy - center
-    S = _laplace_signs()
+    I, J, S = _laplace_terms()
     v = _plucker(dfx)
     w = -_plucker(dfy)
-    p = sum(fx[:, i, None] * (v @ S[i]) for i in range(7))
-    q = sum(fy[:, i, None] * (w @ S[i].T) for i in range(7))
+    # q takes the same terms with the triples swapped, an odd permutation
+    p = sum(fx[:, I[t]] * (S[t] * v[:, J[t]]) for t in range(4))
+    q = -sum(fy[:, I[t]] * (S[t] * w[:, J[t]]) for t in range(4))
     A = np.concatenate([p, v], axis=1)
     B = np.concatenate([w, -q], axis=1)
     # r2 in one product: [-2F, |F|^2, 1] . [H, 1, |H|^2]
@@ -323,18 +345,26 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     positive and, if `require_convergence`, UnconvergedError when the
     estimate is not within 0.25 of an integer.
 
-    When both cycles are `xi2_symmetric`, a shift of xi2 by a grid step
-    maps every node pair to a pair with the same integrand, so X is summed
-    over the xi2 = 0 column only: 2 * resolution times fewer pairs, and
-    the same sum up to rounding.
+    When both cycles are `conjugation_symmetric`, two maps of the grid
+    keep every node pair's integrand: conjugation by e^{i t} shifts xi2 by
+    a grid step, and conjugation by j maps (xi1, xi2) to (-xi1, -xi2) and
+    flips d/dxi1, d/dxi2 on both cycles (four sign changes of the det);
+    both rotate R^7.  So Y is evaluated on the xi2 = 0 column, weights
+    times 2n, and X on its rows xi1 in [0, pi], turned into all 2n shifts
+    by `_xi2_orbit`: 2n^2 + n(n + 1) jets for 2n^2 + 4n^3, and 4n^4 (n + 1)
+    pairs for 8n^5 at n = resolution, with the same sum up to rounding.
     """
     if separation <= 0:
         raise SeparationError("caller-supplied separation is not positive")
-    grid = hopf_grid(resolution)
-    fy, dfy, wy = _cycle_nodes(Y, grid)
-    if X.xi2_symmetric and Y.xi2_symmetric:
-        grid = _xi2_column(grid, 2 * resolution)
-    fx, dfx, wx = _cycle_nodes(X, grid)
+    if X.conjugation_symmetric and Y.conjugation_symmetric:
+        fy, dfy, wy = _cycle_nodes(Y, _xi2_column(resolution))
+        wy = wy * (2 * resolution)
+        fx, dfx, wx = _xi2_orbit(*_cycle_nodes(
+            X, _xi2_column(resolution, half=True)), 2 * resolution)
+    else:
+        grid = hopf_grid(resolution)
+        fy, dfy, wy = _cycle_nodes(Y, grid)
+        fx, dfx, wx = _cycle_nodes(X, grid)
     raw = pair_sum(fx, dfx, wx, fy, dfy, wy)
     estimate = (INTEGRAND_SIGN * X.orientation * Y.orientation
                 * raw / VOL_S6)
@@ -390,8 +420,8 @@ class TauEmbedding:
     def fiber(self, sign: int = 1, project: bool = True) -> ParamCycle:
         """The cycle x -> (x, sign * x^l)/sqrt(2) cut out by theta = 0 or
         pi, stereographically projected into R^7 by default.  Conjugation
-        by e^{i t} commutes with x -> x^l, so the projected fiber is
-        `xi2_symmetric`."""
+        by every unit quaternion commutes with x -> x^l, so the projected
+        fiber is `conjugation_symmetric`."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         l = self.l
@@ -404,7 +434,7 @@ class TauEmbedding:
             return stereographic_jet(y, dy) if project else (y, dy)
 
         return ParamCycle(evaluator=lambda x: jet(x)[0], jet=jet,
-                          xi2_symmetric=project)
+                          conjugation_symmetric=project)
 
 
 def tau_embedding(l: int, b: int) -> TauEmbedding:

@@ -352,12 +352,60 @@ class TestXi2Column:
         emb = lk.tau_embedding(2, 0)
         lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
                           separation=lk.tau_fiber_separation(2))
-        assert sorted(sizes) == [5 * 10, 5 * 10 * 10]
+        assert sorted(sizes) == [5 * 6, 5 * 10]
         sizes.clear()
         lk.linking_number(round_sphere([0] * 7),
                           round_sphere([5, 0, 0, 0, 0, 0, 0]),
                           resolution=3, separation=3.0)
         assert sizes == [3 * 6 * 6] * 2
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_orbit_of_column_is_grid(self, n):
+        # pins both rotation planes and the direction of the rotation
+        for l in (-2, 0, 1, 3):
+            for sign in (+1, -1):
+                cycle = lk.tau_embedding(l, 0).fiber(sign)
+                orbit = lk._xi2_orbit(
+                    *lk._cycle_nodes(cycle, lk._xi2_column(n)), 2 * n)
+                grid = lk._cycle_nodes(cycle, lk.hopf_grid(n))
+                for got, want in zip(orbit, grid):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    def test_orbit_sum_equals_full_grid(self, n):
+        # the rows xi1 = 0 and pi are their own images under j; they make
+        # all of the half column at n = 1 and two of its three rows at 2
+        for l in range(-3, 4):
+            for b in (0, 1):
+                full = lk.pair_sum(*tau_nodes(l, b, n))
+                emb = lk.tau_embedding(l, b)
+                fx, dfx, wx = lk._xi2_orbit(*lk._cycle_nodes(
+                    emb.fiber(+1), lk._xi2_column(n, half=True)), 2 * n)
+                fy, dfy, wy = lk._cycle_nodes(emb.fiber(-1),
+                                              lk._xi2_column(n))
+                orbit = lk.pair_sum(fx, dfx, wx, fy, dfy, wy * (2 * n))
+                assert abs(orbit - full) \
+                    <= 1e-12 * max(abs(full), lk.VOL_S6)
+
+    def test_each_side_weighs_the_sphere(self, monkeypatch):
+        sides = []
+
+        def recorded(fx, dfx, wx, fy, dfy, wy):
+            sides.append((wx.sum(), wy.sum()))
+            return 0.0
+
+        monkeypatch.setattr(lk, "pair_sum", recorded)
+        emb = lk.tau_embedding(1, 0)
+        for n in (1, 2, 3, 4, 5, 7):
+            lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=n,
+                              separation=lk.tau_fiber_separation(1))
+        assert len(sides) == 6
+        # the volume factor rides in the tangents, so the weights of a
+        # whole grid add up to the box (pi/2) (2 pi)^2 of the Hopf angles
+        for total in np.ravel(sides):
+            assert total == pytest.approx(2 * math.pi ** 3, rel=1e-13)
 
 
 class TestVerify:
