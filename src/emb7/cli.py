@@ -410,7 +410,7 @@ COMMANDS = (
             _bounded("--resolution", 1, MAX_RESOLUTION,
                      default=DEFAULT_RESOLUTION,
                      help=f"quadrature resolution, at most {MAX_RESOLUTION}; "
-                          "the time grows as about its sixth power"))),), ()),
+                          "the node pairs grow as its cube"))),), ()),
     ("snf", "Smith normal form of an integer matrix", _cmd_snf,
      (_MATRIX("--matrix"),)),
 )

@@ -3,15 +3,15 @@ generalized Gauss map G(x, y) = (f(x) - g(y)) / |f(x) - g(y)|, and the
 twisted torus embeddings S^1 x S^3 -> S^7 whose fiber linking realizes the
 lambda invariant.
 
-The degree is evaluated by deterministic tensor-product quadrature over
-Hopf coordinates on each parametrizing 3-sphere.  The pair sum over nodes
-runs in one numpy kernel, `pair_sum`, that reduces the 7x7 determinant of
-every node pair to matrix products over Pluecker coordinates.  The tau
-fibers are projected from e5, the real axis of the second 4-block, which
-conjugation by any unit quaternion fixes while mapping each fiber to
-itself.  It shifts xi2 or reflects both Hopf angles, so one fiber needs
-only the xi2 = 0 column of the grid, and the other half of that column,
-rotated into its xi2 shifts.
+The degree is evaluated by deterministic quadrature over each
+parametrizing 3-sphere.  The pair sum over nodes runs in one numpy kernel,
+`pair_sum`, that reduces the 7x7 determinant of every node pair to matrix
+products over Pluecker coordinates.  The tau fibers are projected from
+e5, the real axis of the second 4-block, which conjugation by any unit
+quaternion fixes while mapping each fiber to itself.  So one fiber needs
+only one point x_t = cos t + i sin t of each conjugacy class, and the
+other only the xi2 = 0 column of its grid, which the e^{i s} fixing x_t
+shift along xi2.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ class ParamCycle:
     conjugation x -> q x q^-1 by every unit quaternion q maps to its image
     under the rotation of R^7 that conjugating both 4-blocks by q induces
     on the projection from the pole e5, which every such conjugation
-    fixes: `linking_number` uses q = j as well as q = e^{i t}.
+    fixes: `linking_number` then sums X over one point of each conjugacy
+    class, and Y over the xi2 = 0 column, which that point's stabiliser
+    e^{i s} shifts along xi2.
     """
 
     evaluator: Callable
@@ -102,11 +104,11 @@ def hopf_grid(n: int) -> SphereGrid:
     coordinate volume factor rides inside the tangent vectors, so the
     weights are plain products of the one-dimensional rule weights.
     """
-    return _hopf_nodes(n, 2 * n, 2 * n)
+    return _hopf_nodes(n, 2 * n)
 
 
-def _hopf_nodes(n: int, rows: int, cols: int) -> SphereGrid:
-    """The nodes of hopf_grid(n) on its first `rows` xi1, `cols` xi2."""
+def _hopf_nodes(n: int, cols: int) -> SphereGrid:
+    """The nodes of hopf_grid(n) on its first `cols` xi2."""
     if n < 1:
         raise ValueError("resolution must be >= 1")
     nodes, wts = np.polynomial.legendre.leggauss(n)
@@ -116,7 +118,7 @@ def _hopf_nodes(n: int, rows: int, cols: int) -> SphereGrid:
     xi = 2.0 * math.pi * np.arange(m) / m
     w_xi = 2.0 * math.pi / m
 
-    E, X1, X2 = np.meshgrid(eta, xi[:rows], xi[:cols], indexing="ij")
+    E, X1, X2 = np.meshgrid(eta, xi, xi[:cols], indexing="ij")
     ce, se = np.cos(E).ravel(), np.sin(E).ravel()
     c1, s1 = np.cos(X1).ravel(), np.sin(X1).ravel()
     c2, s2 = np.cos(X2).ravel(), np.sin(X2).ravel()
@@ -127,7 +129,7 @@ def _hopf_nodes(n: int, rows: int, cols: int) -> SphereGrid:
     d_xi1 = np.stack([-ce * s1, ce * c1, z, z], axis=-1)
     d_xi2 = np.stack([z, z, -se * s2, se * c2], axis=-1)
     tangents = np.stack([d_eta, d_xi1, d_xi2], axis=-2)
-    weights = np.repeat(w_eta * w_xi * w_xi, rows * cols)
+    weights = np.repeat(w_eta * w_xi * w_xi, m * cols)
     return SphereGrid(points=pts, tangents=tangents, weights=weights)
 
 
@@ -170,30 +172,22 @@ def tau_fiber_separation(l: int) -> float:
     return math.sqrt(square) / _POLE_FACTOR
 
 
-def _xi2_column(n: int, half: bool = False) -> SphereGrid:
-    """The xi2 = 0 nodes of hopf_grid(n).  With `half`, only the rows
-    xi1 in [0, pi]; those strictly inside weigh twice, as they stand also
-    for their images xi1 -> -xi1 under conjugation by j."""
-    grid = _hopf_nodes(n, n + 1 if half else 2 * n, 1)
-    if half:
-        grid.weights.reshape(n, n + 1)[:, 1:n] *= 2.0
-    return grid
+def _xi2_column(n: int) -> SphereGrid:
+    """The xi2 = 0 nodes of hopf_grid(n)."""
+    return _hopf_nodes(n, 1)
 
 
-def _xi2_orbit(f: np.ndarray, df: np.ndarray, w: np.ndarray,
-               m: int) -> tuple:
-    """Nodes (f, df, w) of an xi2 = 0 column and their shifts by 2 pi k / m
-    along xi2, k < m, in hopf_grid's order: conjugation by e^{i pi k / m}
-    makes that shift, keeps the coordinate tangents and rotates R^7 by
-    2 pi k / m in the planes (2, 3) and (4, 6)."""
-    t = 2.0 * math.pi * np.arange(m) / m
-    c, s = np.cos(t), np.sin(t)
-    rot = np.broadcast_to(np.eye(7), (m, 7, 7)).copy()
-    for a, b in ((2, 3), (4, 6)):
-        rot[:, a, a], rot[:, a, b], rot[:, b, a], rot[:, b, b] = c, -s, s, c
-    return (np.einsum("kij,nj->nki", rot, f).reshape(-1, 7),
-            np.einsum("kij,naj->nkai", rot, df).reshape(-1, 3, 7),
-            np.repeat(w, m))
+def _slice_grid(n: int) -> SphereGrid:
+    """x_t = cos t + i sin t at t = pi k / m, k < m = 2n: one point of each
+    conjugacy class of S^3, weighted by the class's area 4 pi sin^2 t times
+    the step pi / m of the trapezoid rule on [0, pi].  The tangents are
+    -frame(x_t), which have the orientation of hopf_grid's tangents."""
+    m = 2 * n
+    t = math.pi * np.arange(m) / m
+    pts = np.zeros((m, 4))
+    pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+    return SphereGrid(points=pts, tangents=-quat.frame(pts),
+                      weights=4.0 * math.pi * np.sin(t) ** 2 * (math.pi / m))
 
 
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
@@ -345,22 +339,22 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     positive and, if `require_convergence`, UnconvergedError when the
     estimate is not within 0.25 of an integer.
 
-    When both cycles are `conjugation_symmetric`, two maps of the grid
-    keep every node pair's integrand: conjugation by e^{i t} shifts xi2 by
-    a grid step, and conjugation by j maps (xi1, xi2) to (-xi1, -xi2) and
-    flips d/dxi1, d/dxi2 on both cycles (four sign changes of the det);
-    both rotate R^7.  So Y is evaluated on the xi2 = 0 column, weights
-    times 2n, and X on its rows xi1 in [0, pi], turned into all 2n shifts
-    by `_xi2_orbit`: 2n^2 + n(n + 1) jets for 2n^2 + 4n^3, and 4n^4 (n + 1)
-    pairs for 8n^5 at n = resolution, with the same sum up to rounding.
+    When both cycles are `conjugation_symmetric`, conjugation by every
+    unit quaternion rotates R^7 and keeps the integrand of every pair, so
+    the integral over Y is a class function of x.  X is then summed over
+    `_slice_grid`, one point x_t of each conjugacy class, by the trapezoid
+    rule in t, which converges geometrically as the integrand is periodic
+    and analytic in t.  Y is summed over the xi2 = 0 column, weights times
+    2n: conjugation by e^{i s} fixes x_t and shifts xi2 by a grid step, so
+    the column gives the whole grid's sum up to rounding.  That is
+    2n + 2n^2 jets and 4n^3 pairs at n = resolution.
     """
     if separation <= 0:
         raise SeparationError("caller-supplied separation is not positive")
     if X.conjugation_symmetric and Y.conjugation_symmetric:
         fy, dfy, wy = _cycle_nodes(Y, _xi2_column(resolution))
         wy = wy * (2 * resolution)
-        fx, dfx, wx = _xi2_orbit(*_cycle_nodes(
-            X, _xi2_column(resolution, half=True)), 2 * resolution)
+        fx, dfx, wx = _cycle_nodes(X, _slice_grid(resolution))
     else:
         grid = hopf_grid(resolution)
         fy, dfy, wy = _cycle_nodes(Y, grid)
@@ -457,9 +451,9 @@ def verify_lambda_tau(l: int, b: int,
     """Check that the theta = 0 and theta = pi fibers of the (l, b) torus
     link exactly l times.
 
-    The default resolution is tuned for |l| <= 2 (residuals below 5e-4);
+    The default resolution passes |l| <= 3 (residuals below 1e-2);
     larger twisting sharpens the integrand and needs a finer grid, e.g.
-    |l| = 3 reaches residual 5e-3 at resolution 9.
+    |l| = 4 reaches residual 2e-4 at resolution 21.
     """
     emb = tau_embedding(l, b)
     sep = tau_fiber_separation(l)

@@ -182,7 +182,7 @@ class TestExitCodes:
             assert code == 2 and out == "" and "usage:" in err
 
     def test_unconverged_link_is_exit_one(self, capsys):
-        # resolution 5 rounds tau(4, 0) to 7 with residual 0.14: the check
+        # resolution 5 rounds tau(4, 0) to 3 with residual 0.22: the check
         # fails, and the payload still reports what was measured
         code, payload = run_json(capsys, "link", "tau", "--l", "4",
                                  "--b", "0", "--resolution", "5")
@@ -416,8 +416,9 @@ class TestCommands:
         assert set(payload) == {"estimate", "value", "residual", "pass"}
 
     def test_link_tau_unconverged(self, capsys):
-        code, payload = run_json(capsys, "link", "tau", "--l", "3",
-                                 "--b", "0", "--resolution", "3")
+        # resolution 1 estimates tau(2, 0) as 0.691, not near an integer
+        code, payload = run_json(capsys, "link", "tau", "--l", "2",
+                                 "--b", "0", "--resolution", "1")
         assert code == 1
         assert "error" in payload
 

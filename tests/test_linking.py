@@ -105,6 +105,20 @@ class TestGrid:
         vol = abs(float(np.sum(grid.weights * np.linalg.det(mats))))
         assert abs(vol - 2 * math.pi ** 2) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_slice_has_the_hopf_orientation(self, n):
+        # the slice's tangents -frame(x_t) are oriented as hopf_grid's, so
+        # the tau path shares INTEGRAND_SIGN with the full grid; its
+        # weights add up to vol S^3
+        def signed_volume(grid):
+            mats = np.concatenate([grid.points[:, None, :], grid.tangents],
+                                  axis=1)
+            return float(np.sum(grid.weights * np.linalg.det(mats)))
+
+        hopf = signed_volume(lk.hopf_grid(8))
+        assert signed_volume(lk._slice_grid(n)) == pytest.approx(
+            math.copysign(2 * math.pi ** 2, hopf), rel=1e-12)
+
     def test_points_on_sphere(self):
         grid = lk.hopf_grid(5)
         assert np.allclose(np.linalg.norm(grid.points, axis=-1), 1.0)
@@ -241,10 +255,11 @@ class TestLinkingNumber:
                               resolution=3, separation=0.0)
 
     def test_unconverged_reported(self):
-        emb = lk.tau_embedding(3, 0)
+        # tau(2, 0) at resolution 1 estimates 0.691, not near an integer
+        emb = lk.tau_embedding(2, 0)
         with pytest.raises(lk.UnconvergedError):
-            lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=3,
-                              separation=lk.tau_fiber_separation(3))
+            lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=1,
+                              separation=lk.tau_fiber_separation(2))
 
 
 class TestPairKernel:
@@ -307,10 +322,13 @@ class TestPairKernel:
 
     def test_process_blas_threads_do_not_change_last_digits(self):
         # at resolution 9 two BLAS threads summed the l = -1 products in
-        # another order than one did, and the estimate's last digits moved
+        # another order than one did, and the estimate's last digits moved;
+        # the largest resolution the command line accepts is checked too
         src = os.path.dirname(os.path.dirname(os.path.abspath(lk.__file__)))
         code = ("import emb7.linking as lk; "
-                "print(repr(lk.verify_lambda_tau(-1, 0, 9).estimate))")
+                "from emb7.resolution import MAX_RESOLUTION as top; "
+                "print([repr(lk.verify_lambda_tau(-1, 0, n).estimate) "
+                "for n in (9, top)])")
         outs = set()
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -323,22 +341,34 @@ class TestPairKernel:
         assert len(outs) == 1, outs
 
 
+def slice_nodes(l, b, n):
+    """Nodes of the tau(l, b) fibers: X on its slice, Y on hopf_grid(n)."""
+    emb = lk.tau_embedding(l, b)
+    return (lk._cycle_nodes(emb.fiber(+1), lk._slice_grid(n))
+            + lk._cycle_nodes(emb.fiber(-1), lk.hopf_grid(n)))
+
+
 class TestXi2Column:
     @pytest.mark.parametrize("n", [3, 4, 5, 7])
     def test_column_equals_full_grid(self, n):
-        # conjugation by e^{i t} shifts xi2 and fixes the pole e5, so X's
-        # xi2 = 0 column against Y's whole grid gives the full-grid sum
+        # conjugation by e^{i s} fixes x_t, shifts xi2 and fixes the pole
+        # e5, so X's slice against Y's xi2 = 0 column gives its sum against
+        # Y's whole grid; and that sum is at least as close to l as the
+        # one over the whole grid on both sides
         for l in range(-3, 4):
             for b in (0, 1):
-                full = lk.pair_sum(*tau_nodes(l, b, n))
+                whole_y = lk.pair_sum(*slice_nodes(l, b, n))
                 emb = lk.tau_embedding(l, b)
                 res = lk.linking_number(
                     emb.fiber(+1), emb.fiber(-1), resolution=n,
                     separation=lk.tau_fiber_separation(l),
                     require_convergence=False)
                 column = res.estimate * lk.VOL_S6 / lk.INTEGRAND_SIGN
-                assert abs(column - full) \
-                    <= 1e-12 * max(abs(full), lk.VOL_S6)
+                assert abs(column - whole_y) \
+                    <= 1e-12 * max(abs(whole_y), lk.VOL_S6)
+                full = (lk.INTEGRAND_SIGN * lk.pair_sum(*tau_nodes(l, b, n))
+                        / lk.VOL_S6)
+                assert abs(res.estimate - l) <= abs(full - l) + 1e-12
 
     def test_only_tau_fibers_take_the_column(self, monkeypatch):
         sizes = []
@@ -352,38 +382,22 @@ class TestXi2Column:
         emb = lk.tau_embedding(2, 0)
         lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
                           separation=lk.tau_fiber_separation(2))
-        assert sorted(sizes) == [5 * 6, 5 * 10]
+        assert sorted(sizes) == [2 * 5, 2 * 5 ** 2]
         sizes.clear()
         lk.linking_number(round_sphere([0] * 7),
                           round_sphere([5, 0, 0, 0, 0, 0, 0]),
                           resolution=3, separation=3.0)
         assert sizes == [3 * 6 * 6] * 2
 
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_orbit_of_column_is_grid(self, n):
-        # pins both rotation planes and the direction of the rotation
-        for l in (-2, 0, 1, 3):
-            for sign in (+1, -1):
-                cycle = lk.tau_embedding(l, 0).fiber(sign)
-                orbit = lk._xi2_orbit(
-                    *lk._cycle_nodes(cycle, lk._xi2_column(n)), 2 * n)
-                grid = lk._cycle_nodes(cycle, lk.hopf_grid(n))
-                for got, want in zip(orbit, grid):
-                    assert got.shape == want.shape
-                    assert np.abs(got - want).max() <= 1e-14
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_orbit_sum_equals_full_grid(self, n):
-        # the rows xi1 = 0 and pi are their own images under j; they make
-        # all of the half column at n = 1 and two of its three rows at 2
+        # the stabiliser step alone: Y's xi2 = 0 column, weighted by its
+        # orbit of 2n shifts, against X's slice, equals Y's whole grid
         for l in range(-3, 4):
             for b in (0, 1):
-                full = lk.pair_sum(*tau_nodes(l, b, n))
-                emb = lk.tau_embedding(l, b)
-                fx, dfx, wx = lk._xi2_orbit(*lk._cycle_nodes(
-                    emb.fiber(+1), lk._xi2_column(n, half=True)), 2 * n)
-                fy, dfy, wy = lk._cycle_nodes(emb.fiber(-1),
+                fx, dfx, wx, *whole_y = slice_nodes(l, b, n)
+                full = lk.pair_sum(fx, dfx, wx, *whole_y)
+                fy, dfy, wy = lk._cycle_nodes(lk.tau_embedding(l, b).fiber(-1),
                                               lk._xi2_column(n))
                 orbit = lk.pair_sum(fx, dfx, wx, fy, dfy, wy * (2 * n))
                 assert abs(orbit - full) \
@@ -402,10 +416,13 @@ class TestXi2Column:
             lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=n,
                               separation=lk.tau_fiber_separation(1))
         assert len(sides) == 6
-        # the volume factor rides in the tangents, so the weights of a
-        # whole grid add up to the box (pi/2) (2 pi)^2 of the Hopf angles
-        for total in np.ravel(sides):
-            assert total == pytest.approx(2 * math.pi ** 3, rel=1e-13)
+        for slice_total, column_total in sides:
+            # the class of x_t has area 4 pi sin^2 t, and these areas add
+            # up to vol S^3 = 2 pi^2
+            assert slice_total == pytest.approx(2 * math.pi ** 2, rel=1e-13)
+            # the volume factor rides in the tangents, so the weights of a
+            # whole grid add up to the box (pi/2) (2 pi)^2 of the Hopf angles
+            assert column_total == pytest.approx(2 * math.pi ** 3, rel=1e-13)
 
 
 class TestVerify:
@@ -428,6 +445,71 @@ class TestVerify:
         r2 = lk.linking_number(t2_fiber(+1), t2_fiber(-1),
                                resolution=5, separation=t2_separation())
         assert r2.value == 0
+
+
+def seifert_cone_dets(l):
+    """det[a | T_A | d_s | T_C] at each point a where the fiber
+    A = {(x, x^l)/sqrt(2)} meets the cone C of short great arcs from
+    p = e8 to B = {(y, -y^l)/sqrt(2)}, a 4-chain in S^7 bounded by B.
+
+    a = c1 p + c2 b with c1, c2 > 0 forces y = x from the first block and
+    2 x^l / sqrt(2) = c1 k from the second, so x^l = k, c1 = sqrt(2): with
+    x = e^{k theta}, the candidates l theta = pi/2 + pi j, j < 2|l|, give
+    x^l = +-k, and c1 > 0 keeps |l| of them.  A and B are oriented by the
+    frame (x i, x j, x k), as in the quadrature, with analytic derivatives
+    d_k x^l = l x^l k and, for u = i, j (which anticommute with k),
+    d_u x^l = sum_m x^m u x^(l - m) = (sin l theta / sin theta) x u.  C is
+    oriented by (d_s, T_B), d_s pointing along the arcs away from p, so
+    that the boundary of C is B.  Normalizing c1 p + c2 b(y) only adds
+    multiples of a, which the determinant ignores, so d_s is -p and T_C
+    is T_B; positive factors such as 1/sqrt(2) are dropped."""
+    theta = (math.pi / 2 + math.pi * np.arange(2 * abs(l))) / l
+    theta = theta[np.sin(l * theta) > 0]
+    x = np.zeros((len(theta), 4))
+    x[:, 0], x[:, 3] = np.cos(theta), np.sin(theta)
+    power = np.zeros_like(x)
+    power[:, 0], power[:, 3] = np.cos(l * theta), np.sin(l * theta)
+    ratio = (np.sin(l * theta) / np.sin(theta))[:, None]
+    xi, xj, xk = (quat.qmul(x, u) for u in (quat.QI, quat.QJ, quat.QK))
+    dk = l * quat.qmul(power, quat.QK)
+
+    def cycle_frame(sign):
+        return [np.concatenate([xu, sign * du], axis=-1)
+                for xu, du in ((xi, ratio * xi), (xj, ratio * xj), (xk, dk))]
+
+    a = np.concatenate([x, power], axis=-1)
+    p = np.zeros_like(a)
+    p[:, 7] = 1.0
+    return np.linalg.det(np.stack([a, *cycle_frame(+1), -p,
+                                   *cycle_frame(-1)], axis=-1))
+
+
+def seifert_cone_count(l):
+    """The intersection number of A with C, that is lambda(tau(l, b))."""
+    return int(np.sign(seifert_cone_dets(l)).sum())
+
+
+class TestSeifertCone:
+    def test_count_is_l(self):
+        for l in [*range(-64, 65), 1000, -1000]:
+            dets = seifert_cone_dets(l)
+            assert len(dets) == abs(l)
+            # transversal: each point has a sign
+            assert np.all(np.abs(dets) > 1.0)
+            assert seifert_cone_count(l) == l
+
+    def test_agrees_with_quadrature(self):
+        passed = set()
+        for l in range(-3, 4):
+            for n in range(1, 10):
+                try:
+                    rep = lk.verify_lambda_tau(l, 0, n)
+                except lk.UnconvergedError:
+                    continue
+                if rep.passed:
+                    assert rep.value == seifert_cone_count(l)
+                    passed.add((l, n))
+        assert {(l, n) for l in range(-3, 4) for n in (7, 9)} <= passed
 
 
 def unit_imaginary(r, n):
