@@ -3,26 +3,26 @@ generalized Gauss map G(x, y) = (f(x) - g(y)) / |f(x) - g(y)|, and the
 twisted torus embeddings S^1 x S^3 -> S^7 whose fiber linking realizes the
 lambda invariant.
 
-The degree is evaluated by deterministic quadrature over each
-parametrizing 3-sphere.  The pair sum over nodes runs in one numpy kernel,
-`pair_sum`, that reduces the 7x7 determinant of every node pair to matrix
-products over Pluecker coordinates.  The tau fibers are projected from
-e5, the real axis of the second 4-block, which conjugation by any unit
-quaternion fixes while mapping each fiber to itself.  So one fiber needs
-only one point x_t = cos t + i sin t of each conjugacy class, and the
-other only the xi2 = 0 column of its grid, which the e^{i s} fixing x_t
-shift along xi2.
+A cycle is given by the analytic jet of its parametrization by the unit
+quaternions.  The degree is a quadrature over both parametrizing
+3-spheres, whose pair sum runs in one numpy kernel, `pair_sum`, that
+reduces the 7x7 determinant of every node pair to matrix products over
+Pluecker coordinates.  The tau fibers are projected from e5, the real axis
+of the second 4-block, which conjugation by any unit quaternion fixes
+while mapping each fiber to itself.  So `link tau` sums one fiber over
+one point x_t = cos t + i sin t of each conjugacy class, and the other
+over the xi2 = 0 column of its Hopf grid, which the e^{i s} fixing x_t
+shift along xi2.  Cycles without that symmetry are summed over the full
+Hopf grid on both sides, the reference the tests hold the slice to.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,49 +44,23 @@ class UnconvergedError(RuntimeError):
     """Quadrature residual too large; raise the resolution."""
 
 
-# Step of the central differences taken when a cycle has no frame Jacobian.
-_FD_STEP = 1e-5
-
-
 @dataclass
 class ParamCycle:
     """A smooth parametrized oriented 3-cycle in R^7.
 
-    `evaluator` maps unit quaternions (..., 4) to points (..., 7).  `jet`,
-    when given, returns the points together with their (..., 3, 7)
-    derivative along the orthonormal tangent frame (x*i, x*j, x*k);
-    otherwise central differences along those directions are used with
-    step `_FD_STEP`.  `conjugation_symmetric` marks a cycle that
-    conjugation x -> q x q^-1 by every unit quaternion q maps to its image
-    under the rotation of R^7 that conjugating both 4-blocks by q induces
-    on the projection from the pole e5, which every such conjugation
-    fixes: `linking_number` then sums X over one point of each conjugacy
-    class, and Y over the xi2 = 0 column, which that point's stabiliser
-    e^{i s} shifts along xi2.
+    `jet` maps unit quaternions x (..., 4) to the points (..., 7) and their
+    (..., 3, 7) derivative along the orthonormal tangent frame
+    (x*i, x*j, x*k), which orients the cycle.  `conjugation_symmetric`
+    marks a cycle that conjugation x -> q x q^-1 by every unit quaternion q
+    maps to its image under the rotation of R^7 that conjugating both
+    4-blocks by q induces on the projection from the pole e5, which every
+    such conjugation fixes: `linking_number` then sums X over one point of
+    each conjugacy class, and Y over the xi2 = 0 column, which that
+    point's stabiliser e^{i s} shifts along xi2.
     """
 
-    evaluator: Callable
-    jet: Optional[Callable] = None
-    orientation: int = 1
+    jet: Callable
     conjugation_symmetric: bool = False
-
-    def positions(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluator(x)
-
-    def points_and_jacobian(self, x: np.ndarray) -> tuple:
-        if self.jet is not None:
-            return self.jet(x)
-        h = _FD_STEP
-        rows = []
-        for q in (quat.QI, quat.QJ, quat.QK):
-            step = math.cos(h) * quat.QONE + math.sin(h) * q
-            fwd = self.evaluator(quat.qmul(x, step))
-            back = self.evaluator(quat.qmul(x, quat.qconj(step)))
-            rows.append((fwd - back) / (2.0 * h))
-        return self.evaluator(x), np.stack(rows, axis=-2)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.points_and_jacobian(x)[1]
 
 
 @dataclass(frozen=True)
@@ -191,7 +165,7 @@ def _slice_grid(n: int) -> SphereGrid:
 
 
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
-    F, J = cycle.points_and_jacobian(grid.points)
+    F, J = cycle.jet(grid.points)
     fr = quat.frame(grid.points)
     coeff = np.einsum("nad,nbd->nab", grid.tangents, fr)
     dF = np.einsum("nab,nbi->nai", coeff, J)
@@ -238,39 +212,6 @@ def _plucker(dF: np.ndarray) -> np.ndarray:
             + a[:, k] * (b[:, i] * c[:, j] - b[:, j] * c[:, i]))
 
 
-@functools.cache
-def _openblas_threads() -> tuple:
-    """get and set of the thread count of numpy's OpenBLAS, or no-ops."""
-    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
-        for lib in sorted({ln.split()[-1] for ln in fh if "openblas" in ln}):
-            dll = ctypes.CDLL(lib)
-            for form in ("scipy_openblas_%s_num_threads64_",
-                         "openblas_%s_num_threads"):
-                get = getattr(dll, form % "get", None)
-                if get is not None:
-                    put = getattr(dll, form % "set")
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return (lambda: 0), (lambda threads: None)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    # The kernel's products are small.  On a 2-core VM a second BLAS thread
-    # saved 15-30% of a warm call, but the first call of a process took 1.2
-    # to 3.5 times a later one, as it waited for that thread to be
-    # scheduled; on one thread it took 1.25 to 1.5 times, run after run.
-    get, put = _openblas_threads()
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
-@_one_blas_thread()
 def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
              fy: np.ndarray, dfy: np.ndarray, wy: np.ndarray) -> float:
     """sum_{a,b} wx_a wy_b det[D | dF_a | -dH_b] / |D|^7, D = F_a - H_b.
@@ -360,8 +301,7 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
         fy, dfy, wy = _cycle_nodes(Y, grid)
         fx, dfx, wx = _cycle_nodes(X, grid)
     raw = pair_sum(fx, dfx, wx, fy, dfy, wy)
-    estimate = (INTEGRAND_SIGN * X.orientation * Y.orientation
-                * raw / VOL_S6)
+    estimate = INTEGRAND_SIGN * raw / VOL_S6
     value = int(round(estimate))
     residual = abs(estimate - value)
     if require_convergence and residual > 0.25:
@@ -383,13 +323,9 @@ _POLE_ORDER = [0, 1, 2, 3, 7, 5, 6, 4]
 _POLE_SIGN = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
 
 
-def stereographic(y: np.ndarray) -> np.ndarray:
-    """Projection of S^7 minus the pole e5 onto R^7."""
-    y = y[..., _POLE_ORDER] * _POLE_SIGN
-    return y[..., :7] / (1.0 - y[..., 7:8])
-
-
 def stereographic_jet(y: np.ndarray, dy: np.ndarray) -> tuple:
+    """Projection of S^7 minus the pole e5 onto R^7, and its derivative
+    along the rows of dy."""
     y = y[..., _POLE_ORDER] * _POLE_SIGN
     dy = dy[..., _POLE_ORDER] * _POLE_SIGN
     denom = 1.0 - y[..., 7:8]
@@ -427,8 +363,7 @@ class TauEmbedding:
             dy = np.concatenate([fr, sign * dv], axis=-1) / math.sqrt(2.0)
             return stereographic_jet(y, dy) if project else (y, dy)
 
-        return ParamCycle(evaluator=lambda x: jet(x)[0], jet=jet,
-                          conjugation_symmetric=project)
+        return ParamCycle(jet=jet, conjugation_symmetric=project)
 
 
 def tau_embedding(l: int, b: int) -> TauEmbedding:

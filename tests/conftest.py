@@ -236,7 +236,29 @@ def direct_sum(d1: ManifoldData, d2: ManifoldData) -> ManifoldData:
 
 
 def reversed_cycle(cycle: lk.ParamCycle) -> lk.ParamCycle:
-    return dataclasses.replace(cycle, orientation=-cycle.orientation)
+    """`cycle` with the opposite orientation: the first tangent row of its
+    jet negated, which negates every determinant it enters."""
+
+    def jet(x):
+        F, J = cycle.jet(x)
+        J = J.copy()
+        J[..., 0, :] *= -1.0
+        return F, J
+
+    return dataclasses.replace(cycle, jet=jet)
+
+
+def fd_jacobian(cycle: lk.ParamCycle, x: np.ndarray,
+                h: float = 1e-5) -> np.ndarray:
+    """Central differences of the points of `cycle` along the frame
+    (x i, x j, x k): the oracle for the analytic jets."""
+    rows = []
+    for q in (quat.QI, quat.QJ, quat.QK):
+        step = math.cos(h) * quat.QONE + math.sin(h) * q
+        fwd = cycle.jet(quat.qmul(x, step))[0]
+        back = cycle.jet(quat.qmul(x, quat.qconj(step)))[0]
+        rows.append((fwd - back) / (2.0 * h))
+    return np.stack(rows, axis=-2)
 
 
 def const_jet(q: np.ndarray, like: np.ndarray) -> tuple:
@@ -277,11 +299,13 @@ def t1_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
     """Fiber cycle of the quaternion-multiplication model of the (1, 0)
     torus: y -> (sign*y, y)/sqrt(2), projected into R^7 by default."""
 
-    def evaluator(y):
+    def jet(y):
+        fr = quat.frame(y)
         z = np.concatenate([sign * y, y], axis=-1) / math.sqrt(2.0)
-        return lk.stereographic(z) if project else z
+        dz = np.concatenate([sign * fr, fr], axis=-1) / math.sqrt(2.0)
+        return lk.stereographic_jet(z, dz) if project else (z, dz)
 
-    return lk.ParamCycle(evaluator=evaluator)
+    return lk.ParamCycle(jet=jet)
 
 
 def t1_separation() -> float:
@@ -293,13 +317,15 @@ def t2_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
     """Fiber cycle of the Hopf-map model of the (0, 1) torus:
     y -> (sign * y i y^-1, y)/sqrt(2), projected into R^7 by default."""
 
-    def evaluator(y):
-        eta = quat.qmul(quat.qmul(y, np.broadcast_to(quat.QI, y.shape)),
-                        quat.qconj(y))
+    def jet(y):
+        yj = (y, quat.frame(y))
+        eta, deta = quat.jet_mul(quat.jet_mul(yj, const_jet(quat.QI, y)),
+                                 quat.jet_conj(yj))
         z = np.concatenate([sign * eta, y], axis=-1) / math.sqrt(2.0)
-        return lk.stereographic(z) if project else z
+        dz = np.concatenate([sign * deta, yj[1]], axis=-1) / math.sqrt(2.0)
+        return lk.stereographic_jet(z, dz) if project else (z, dz)
 
-    return lk.ParamCycle(evaluator=evaluator)
+    return lk.ParamCycle(jet=jet)
 
 
 def t2_separation() -> float:

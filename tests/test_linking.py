@@ -8,8 +8,9 @@ import pytest
 
 import emb7.linking as lk
 import emb7.quat as quat
-from conftest import (frame_jets, reversed_cycle, t1_fiber, t1_separation,
-                      t2_fiber, t2_separation, tau_evaluate)
+from emb7.resolution import MAX_RESOLUTION
+from conftest import (fd_jacobian, frame_jets, reversed_cycle, t1_fiber,
+                      t1_separation, t2_fiber, t2_separation, tau_evaluate)
 
 
 def reference_pair_sum(fx, dfx, wx, fy, dfy, wy):
@@ -50,12 +51,33 @@ def assert_matches_reference(nodes):
 def round_sphere(center, radius=1.0):
     c = np.asarray(center, dtype=float)
 
-    def evaluator(x):
-        out = np.zeros(x.shape[:-1] + (7,))
-        out[..., :4] = radius * x
-        return out + c
+    def jet(x):
+        F = np.zeros(x.shape[:-1] + (7,))
+        F[..., :4] = radius * x
+        J = np.zeros(x.shape[:-1] + (3, 7))
+        J[..., :4] = radius * quat.frame(x)
+        return F + c, J
 
-    return lk.ParamCycle(evaluator=evaluator)
+    return lk.ParamCycle(jet=jet)
+
+
+def rigidly_moved(cycle, rot, shift):
+    """`cycle` carried by the rigid motion z -> rot z + shift."""
+
+    def jet(x):
+        F, J = cycle.jet(x)
+        return F @ rot.T + shift, J @ rot.T
+
+    return lk.ParamCycle(jet=jet)
+
+
+def random_motion(seed):
+    """A seeded rotation of R^7 with determinant +1, and a shift."""
+    r = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(r.normal(size=(7, 7)))
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    return rot, r.normal(size=7)
 
 
 class TestQuaternions:
@@ -158,16 +180,26 @@ class TestTauEmbedding:
         assert d2.min() > 1e-6
 
     def test_fiber_jacobian_matches_fd(self):
-        emb = lk.tau_embedding(2, 1)
-        cyc = emb.fiber(+1)
-        fd = lk.ParamCycle(evaluator=cyc.evaluator)  # forces differences
+        # every analytic jet the tests sum, against central differences of
+        # its points
+        cycles = [
+            *(lk.tau_embedding(l, 1).fiber(sign, project) for l in (-3, 0, 2)
+              for sign in (1, -1) for project in (True, False)),
+            *(model(sign, project) for model in (t1_fiber, t2_fiber)
+              for sign in (1, -1) for project in (True, False)),
+            round_sphere([1, 2, 3, 4, 5, 6, 7], radius=0.5),
+            rigidly_moved(lk.tau_embedding(1, 0).fiber(+1),
+                          *random_motion(11)),
+        ]
         x = lk.hopf_grid(3).points
-        assert np.allclose(cyc.jacobian(x), fd.jacobian(x), atol=1e-8)
+        for cycle in cycles:
+            _, J = cycle.jet(x)
+            assert np.allclose(J, fd_jacobian(cycle, x), rtol=0.0, atol=1e-8)
 
     def test_pole_avoided(self):
         for l in (-2, 0, 3):
             raw = lk.tau_embedding(l, 1).fiber(+1, project=False)
-            y = raw.positions(lk.hopf_grid(4).points)
+            y, _ = raw.jet(lk.hopf_grid(4).points)
             assert np.max(np.abs(y[:, 4])) < 1 / math.sqrt(2) + 1e-12
 
 
@@ -222,16 +254,11 @@ class TestLinkingNumber:
         assert abs(plain.estimate + flipped.estimate) < 1e-12
 
     def test_rigid_motion_invariance(self):
-        r = np.random.default_rng(11)
-        rot, _ = np.linalg.qr(r.normal(size=(7, 7)))
-        if np.linalg.det(rot) < 0:
-            rot[:, 0] = -rot[:, 0]
-        shift = r.normal(size=7)
+        rot, shift = random_motion(11)
         emb = lk.tau_embedding(1, 0)
         sep = lk.tau_fiber_separation(1)
         X, Y = emb.fiber(+1), emb.fiber(-1)
-        Xm = lk.ParamCycle(evaluator=lambda x: X.evaluator(x) @ rot.T + shift)
-        Ym = lk.ParamCycle(evaluator=lambda x: Y.evaluator(x) @ rot.T + shift)
+        Xm, Ym = rigidly_moved(X, rot, shift), rigidly_moved(Y, rot, shift)
         base = lk.linking_number(X, Y, resolution=5, separation=sep)
         moved = lk.linking_number(Xm, Ym, resolution=5, separation=sep)
         assert abs(base.estimate - moved.estimate) < 1e-6
@@ -302,33 +329,21 @@ class TestPairKernel:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_kernel_runs_blas_on_one_thread(self, monkeypatch):
-        get, _ = lk._openblas_threads()
-        before = get()
-        if "openblas" in np.__config__.CONFIG[
-                "Build Dependencies"]["blas"]["name"]:
-            assert before >= 1  # numpy's OpenBLAS was found
-        seen = []
-
-        def plucker(dF):
-            seen.append(get())
-            raise RuntimeError("stop inside the kernel")
-
-        monkeypatch.setattr(lk, "_plucker", plucker)
-        with pytest.raises(RuntimeError):
-            lk.pair_sum(*tau_nodes(1, 0, 3))
-        assert seen == [1 if before else 0]
-        assert get() == before  # restored, also when the kernel raises
-
     def test_process_blas_threads_do_not_change_last_digits(self):
-        # at resolution 9 two BLAS threads summed the l = -1 products in
-        # another order than one did, and the estimate's last digits moved;
-        # the largest resolution the command line accepts is checked too
+        # nothing pins the BLAS thread count, so this is the one guard that
+        # printed results do not depend on it: the torus benchmark argv
+        # (|l| = 2 at the default resolution 7, |l| = 3 at 9) and l = -1 at
+        # 9, 21 and the largest resolution the command line accepts, whose
+        # last digits once moved when two threads summed the products in
+        # another order
         src = os.path.dirname(os.path.dirname(os.path.abspath(lk.__file__)))
-        code = ("import emb7.linking as lk; "
-                "from emb7.resolution import MAX_RESOLUTION as top; "
-                "print([repr(lk.verify_lambda_tau(-1, 0, n).estimate) "
-                "for n in (9, top)])")
+        argvs = [["--l", "2", "--b", "1"], ["--l", "-2", "--b", "-3"],
+                 ["--l", "3", "--b", "2", "--resolution", "9"],
+                 ["--l", "-3", "--b", "0", "--resolution", "9"],
+                 *(["--l", "-1", "--b", "0", "--resolution", str(n)]
+                   for n in (9, 21, MAX_RESOLUTION))]
+        code = ("import sys; from emb7.cli import main; "
+                f"[main(['link', 'tau', *argv]) for argv in {argvs!r}]")
         outs = set()
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -337,6 +352,7 @@ class TestPairKernel:
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count(b"\n") == len(argvs)
             outs.add(proc.stdout)
         assert len(outs) == 1, outs
 
@@ -543,7 +559,7 @@ def sampled_min(X, Y, k, seed=0):
     xs = [x, x] + [exp_imaginary(n, S) for n in axes]
     ys = [y, near] + [exp_imaginary(n, T) for n in axes]
     return min(float(np.min(np.linalg.norm(
-        X.positions(a) - Y.positions(b), axis=-1))) for a, b in zip(xs, ys))
+        X.jet(a)[0] - Y.jet(b)[0], axis=-1))) for a, b in zip(xs, ys))
 
 
 class TestSeparation:
