@@ -4,10 +4,9 @@ Every subcommand reads JSON-ish arguments, prints a single JSON object on
 stdout, and exits 0 on success, 1 on a domain failure (invalid data,
 inadmissible input, unconverged integral, a failed linking check, memory
 exhausted, a result too large to print or a fiber too large to list), or
-2 on a usage error.  All
-exact integers in payloads are decimal strings; the EMB7_ENUM_CAP
-environment variable overrides the enumeration guard and nothing else is
-read from the environment.
+2 on a usage error.  All exact integers in payloads are decimal strings;
+the EMB7_ENUM_CAP environment variable overrides the enumeration guard
+and nothing else is read from the environment.
 
 One table, `COMMANDS`, holds each command's handler and its arguments,
 drawn from a few argument kinds.  `fast_parse` reads a well-formed argv
@@ -16,22 +15,18 @@ parser, which holds just the command that argv names and is the only
 source of their text.
 
 A call pays only for its own command: each handler imports only the emb7
-modules it runs, and `import emb7` re-exports nothing.  Cold on a 2-core
-VM, best of 15 with bytecode compiled, `k-group`, `fiber --enumerate` and
-`classify equal` each take 25-27 ms, against 20 ms for
-`python -c "import json"` (README).
-
-Each input is decoded once, one pass per array, and `classify equal`
-checks a (u, L) that both classes share once and decides equality by one
-lattice-membership test.  In process, a `classify equal` on the
-benchmark's genus-6 manifold takes 0.18 ms: 0.065 ms for the membership
-test, 0.05 ms to load and validate the manifold, 0.03 ms to decode and
-check both classes and 0.015 ms to parse argv, where building a parser
-took 0.20 ms (README).
+modules it runs, and `import emb7` re-exports nothing.  Each input is
+decoded once, one pass per array.  A manifold file is read on every call
+but decoded and validated only when its text is not the last valid one:
+in process on the benchmark's manifolds, `classify equal` takes 0.12 ms
+and `fiber --enumerate` 0.07 ms, against 0.18 and 0.14 ms when each call
+decoded and validated its file.  Cold, these and `k-group` take 25-27
+ms, against 20 ms for `python -c "import json"` (README).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -53,10 +48,19 @@ def _load_manifold(source: str):
     from . import manifolds
     if source in manifolds.BUILTIN_NAMES:
         return manifolds.builtin(source)
-    with open(source) as fh:
-        data = manifolds.from_json(_json_loads(fh.read()))
-    violations = manifolds.validate(data)
-    if violations:
+    with open(source) as fh:  # read on every call: an edited file is seen
+        return _decode_manifold(fh.read())
+
+
+@functools.lru_cache(maxsize=1)  # the last valid text; errors are not kept
+def _decode_manifold(text: str):
+    from . import manifolds
+    obj = _json_loads(text)
+    try:
+        data = manifolds.from_json(obj)
+    except ValueError as exc:  # printed as main prints a ValueError
+        raise DomainError({"error": str(exc)})
+    if violations := manifolds.validate(data):
         raise DomainError({"error": "manifold data is invalid",
                            "violations": violations})
     return data
@@ -182,16 +186,12 @@ def _size_str(size) -> str:
 
 
 def _cmd_validate(args):
-    from . import manifolds
-    with open(args.file) as fh:
-        obj = _json_loads(fh.read())
     try:
-        data = manifolds.from_json(obj)
-    except ValueError as exc:
-        return {"valid": False, "violations": [str(exc)]}, 1
-    violations = manifolds.validate(data)
-    if violations:
-        return {"valid": False, "violations": violations}, 1
+        with open(args.file) as fh:
+            _decode_manifold(fh.read())
+    except DomainError as exc:  # a from_json error, or the violations
+        return {"valid": False, "violations": exc.payload.get(
+            "violations", [exc.payload["error"]])}, 1
     return {"valid": True}, 0
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -1028,3 +1029,173 @@ class TestUnvalidatedDataIsRefused:
         assert payload["error"] == "manifold data is invalid"
         assert any(v.startswith("P is not unimodular")
                    for v in payload["violations"])
+
+
+def counting_loads(monkeypatch) -> dict:
+    """Counts the calls of `manifolds.from_json` and `validate`, from a
+    cleared memo on."""
+    import emb7.manifolds
+    calls = {"from_json": 0, "validate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(emb7.manifolds, name,
+                            counting(name, getattr(emb7.manifolds, name)))
+    cli._decode_manifold.cache_clear()
+    return calls
+
+
+def write_manifold(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# t2xs2 with another even form and a third T: the same shapes, so one argv
+# names either, with other answers
+TWISTED = to_json(builtin("t2xs2"))
+TWISTED.update(name="twisted", Q=[[0, 1], [1, 2]],
+               T=[[[0, 1], [-1, 0]], [[0, 3], [-3, 0]]])
+
+
+class TestManifoldMemo:
+    """A manifold file is read on every call; its text is decoded and
+    validated again only when it differs from the last valid text."""
+
+    K_GROUP = ("k-group", "--u", "[2,0]", "--L", "[[0,0],[2,0]]")
+
+    def test_one_file_is_decoded_once(self, capsys, monkeypatch, tmp_path):
+        calls = counting_loads(monkeypatch)
+        path = write_manifold(tmp_path / "m.json", to_json(builtin("t2xs2")))
+        outs = [run(capsys, *self.K_GROUP, "--manifold", path)
+                for _ in range(2)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert calls == {"from_json": 1, "validate": 1}
+
+    def test_rewritten_file_gives_the_new_answer(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        argv = ("kappa-enum", "--bound", "2", "--manifold", str(path))
+        answers = []
+        for data in (builtin("cp2"), builtin("s2xs2"), builtin("cp2")):
+            write_manifold(path, to_json(data))
+            answers.append(run(capsys, *argv))
+            assert answers[-1] == run(capsys, *argv[:-1], data.name)
+        assert answers[0] == answers[2] != answers[1]
+
+    def test_invalid_file_is_refused_on_every_call(self, capsys, monkeypatch,
+                                                   tmp_path):
+        calls = counting_loads(monkeypatch)
+        obj = to_json(builtin("s1xs3"))
+        obj["P"] = [["2"]]
+        path = write_manifold(tmp_path / "p2.json", obj)
+        for _ in range(3):
+            code, payload = run_json(capsys, "k-group", "--u", "[]", "--L",
+                                     "[[3]]", "--manifold", path)
+            assert code == 1
+            assert payload == {"error": "manifold data is invalid",
+                               "violations": ["P is not unimodular (det=2)"]}
+            assert run_json(capsys, "validate", path) == (
+                1, {"valid": False,
+                    "violations": ["P is not unimodular (det=2)"]})
+        assert calls == {"from_json": 6, "validate": 6}
+
+    def test_undecodable_object_is_refused_on_every_call(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text('{"b1": 0}')
+        error = "manifold data lacks b2, Q, P, T, w2, sigma"
+        for _ in range(2):
+            assert run_json(capsys, "kappa-enum", "--bound", "1",
+                            "--manifold", str(path)) == (1, {"error": error})
+            assert run_json(capsys, "validate", str(path)) == (
+                1, {"valid": False, "violations": [error]})
+
+    def test_malformed_json_is_a_usage_error_on_every_call(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"b1": ')
+        for argv in [("validate", str(path)),
+                     ("kappa-enum", "--bound", "1", "--manifold", str(path))]:
+            for _ in range(2):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, "") and err.startswith("emb7: ")
+
+    def test_builtin_never_reaches_the_memo(self, capsys, monkeypatch):
+        calls = counting_loads(monkeypatch)
+        for _ in range(2):
+            assert run(capsys, *self.K_GROUP, "--manifold", "t2xs2")[0] == 0
+        info = cli._decode_manifold.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert calls == {"from_json": 0, "validate": 0}
+
+    def test_only_the_last_text_is_held(self, capsys, monkeypatch, tmp_path):
+        calls = counting_loads(monkeypatch)
+        a = write_manifold(tmp_path / "a.json", to_json(builtin("t2xs2")))
+        b = write_manifold(tmp_path / "b.json", TWISTED)
+        for path, decoded in ((a, 1), (b, 2), (b, 2), (a, 3)):
+            run(capsys, *self.K_GROUP, "--manifold", path)
+            assert calls["from_json"] == decoded
+            assert cli._decode_manifold.cache_info().currsize == 1
+
+
+def memo_script(tmp_path, seed: int) -> list:
+    """A seeded list of steps: ("write", path, text) or ("call", argv).
+    Two manifold texts go to two paths in turn, one path rewritten with
+    the other text right after calls on it, and each write is followed
+    by repeated calls of every command that loads a file."""
+    rng = random.Random(seed)
+    texts = {"x": json.dumps(to_json(builtin("t2xs2"))),
+             "y": json.dumps(TWISTED)}
+    # u admissible on t2xs2 only, on both, on twisted only; s is the
+    # entry of L^T - L that makes (u, L) symmetric on one manifold
+    slopes = {"x": (1, 0), "y": (1, 3)}
+    steps = []
+    for path_name, text in [("a", "x"), ("b", "y"), ("b", "x"), ("a", "y"),
+                            ("a", "x"), ("b", "x"), ("a", "y")]:
+        path = str(tmp_path / f"{path_name}.json")
+        steps.append(("write", path, texts[text]))
+        for _ in range(rng.randint(2, 4)):
+            u = rng.choice([[0, 2], [2, 0], [2, -2], [-2, 0], [0, 0]])
+            a0, a1 = slopes[rng.choice("xy")]
+            p, q, w = (rng.randint(-3, 3) for _ in range(3))
+            L = [[p, q], [q + a0 * u[0] + a1 * u[1], w]]
+            beta = [rng.randint(-4, 4), rng.randint(-4, 4)]
+            one = class_json(u, L, [0, 0])
+            steps += [("call", argv + ["--manifold", path]) for argv in (
+                ["k-group", "--u", json.dumps(u), "--L", json.dumps(L)],
+                ["fiber", "--u", json.dumps(u), "--L", json.dumps(L),
+                 "--enumerate", "--cap", "20"],
+                ["classify", "equal", "--class1", one,
+                 "--class2", class_json(u, L, beta)],
+                ["kappa-enum", "--bound", str(rng.randint(1, 3))])]
+            steps.append(("call", ["validate", path]))
+    return steps
+
+
+class TestMemoIsInvisible:
+    def outcomes(self, capsys, steps, clear: bool) -> list:
+        cli._decode_manifold.cache_clear()
+        out = []
+        for step in steps:
+            if step[0] == "write":
+                with open(step[1], "w") as fh:
+                    fh.write(step[2])
+                continue
+            if clear:
+                cli._decode_manifold.cache_clear()
+            out.append(run(capsys, *step[1]))
+        return out
+
+    def test_memo_on_equals_memo_off(self, capsys, tmp_path):
+        steps = memo_script(tmp_path, seed=44)
+        cold = self.outcomes(capsys, steps, clear=True)
+        warm = self.outcomes(capsys, steps, clear=False)
+        assert warm == cold
+        # the list is worth comparing: both answers and both failures occur
+        codes = [code for code, _, _ in cold]
+        assert codes.count(0) > len(codes) // 2 and 1 in codes
+        assert cli._decode_manifold.cache_info().hits > len(codes) // 2
