@@ -142,7 +142,7 @@ def enumerate_fiber(data: ManifoldData, u: Sequence[int], L: IntMatrix,
     from itertools import chain, count, islice, product
 
     kg = fiber_group(data, u, L)
-    factors = kg.group.invariant_factors
+    factors = kg.factors
     size = kg.size()
     if size is None and cap is None:
         raise ValueError("infinite fiber: a cap is required")

@@ -219,7 +219,7 @@ def _cmd_k_group(args):
     data = _load_manifold(args.manifold)
     kg = invariants.k_group(data, args.u, args.L)
     return {
-        "factors": jsonio.encode_vector(kg.group.invariant_factors),
+        "factors": jsonio.encode_vector(kg.factors),
         "d": jsonio.encode_int(kg.d),
         "size": _size_str(kg.size()),
     }, 0
@@ -292,7 +292,7 @@ def _cmd_fiber(args):
     else:
         kg = classify.fiber_group(data, u, args.L)
     payload = {
-        "factors": jsonio.encode_vector(kg.group.invariant_factors),
+        "factors": jsonio.encode_vector(kg.factors),
         "size": _size_str(kg.size()),
     }
     if args.enumerate:

@@ -1,6 +1,5 @@
 """Exact integer linear algebra: Smith normal form, unimodular inverses,
-presentations of finitely generated abelian groups, and canonical coset
-representatives.
+lattice membership, and canonical coset representatives.
 
 All arithmetic uses arbitrary-precision Python integers.  Intermediate
 entries in a Smith reduction can grow far past 64 bits, so nothing here
@@ -164,11 +163,10 @@ class IntMatrix:
 class SNFResult:
     """Smith decomposition U @ A @ V == D.
 
-    U and V are unimodular; D is diagonal, non-negative, and each diagonal
-    entry divides the next (zeros come last).  When the reduction started
-    from a `left` matrix, U holds U_A @ left and V is None.  A reduction
-    over Z/m (`modulus`) keeps V None and every entry of U in [0, m), and
-    its D holds divisors of m (see `smith_normal_form`).
+    D is diagonal, non-negative, and each diagonal entry divides the next
+    (zeros come last).  U and V are unimodular when tracked; an untracked
+    reduction (`transforms=False`, or any over Z/m) gives U with A.rows
+    rows and no columns, and V None (see `smith_normal_form`).
     """
 
     U: IntMatrix
@@ -193,48 +191,43 @@ def _pivot(a, m, n, t):
     return best
 
 
-def smith_normal_form(A: IntMatrix, left: Optional[IntMatrix] = None,
-                      modulus: int = 0) -> SNFResult:
-    """Smith normal form with unimodular transforms.
+def smith_normal_form(A: IntMatrix, modulus: int = 0,
+                      transforms: bool = True) -> SNFResult:
+    """Smith normal form, with unimodular transforms over Z on request.
 
     Pivoting always picks the smallest-absolute-value nonzero entry (ties by
     lowest row, then column), which keeps intermediate growth modest and
     makes the output deterministic for a fixed input.
 
-    With `left` (a matrix with A.rows rows) the row operations act on
-    `left` instead of the identity, so U comes back as U_A @ left, and V is
-    not tracked (None): a caller that presents Z^n / A through a unimodular
-    change of basis `left` gets the composed projection without a product.
+    With `transforms` (over Z only) U and V are tracked.  Otherwise only
+    D is built: U comes back with A.rows rows and no columns, and V is
+    None.
 
     With a `modulus` m > 0 the same elimination runs over Z/m (Storjohann,
-    ISSAC 1996): A and the start of U are reduced mod m, every entry stays
-    in [0, m), and each diagonal entry t is replaced by gcd(t, m), which
-    generates the same ideal of Z/m.  D then holds divisors of m in a
-    divisibility chain, m standing for a zero diagonal entry, so the
-    cokernel of A over Z/m is the sum of the Z/D_ii (and a Z/m for each row
-    beyond min(A.rows, A.cols)), with U as its projection.  V is not
-    tracked.  modulus = 0 means over Z.
+    ISSAC 1996) and tracks no transform: A is reduced mod m, every entry
+    stays in [0, m), and each diagonal entry t is replaced by gcd(t, m),
+    which generates the same ideal of Z/m.  D then holds divisors of m in
+    a divisibility chain, m standing for a zero diagonal entry, so the
+    cokernel of A over Z/m is the sum of the Z/D_ii (and a Z/m for each
+    row beyond min(A.rows, A.cols)).  modulus = 0 means over Z.
     """
     m, n = A.rows, A.cols
-    if left is not None and left.rows != m:
-        raise ValueError(f"left has {left.rows} rows, A has {m}")
     if modulus < 0:
         raise ValueError(f"modulus {modulus} is negative")
     a = [list(r) for r in A.data]
-    u = [list(r) for r in (IntMatrix.identity(m) if left is None else left).data]
     if modulus:
         a = [[x % modulus for x in r] for r in a]
-        u = [[x % modulus for x in r] for r in u]
-    # V, when not tracked, is an empty list of rows that every step skips
-    track_v = left is None and not modulus
-    v = [list(r) for r in IntMatrix.identity(n).data] if track_v else []
+    track = transforms and not modulus
+    # untracked, U has empty rows and V no rows, which every step skips
+    u = [list(r) for r in IntMatrix.identity(m).data] if track else \
+        [[] for _ in range(m)]
+    v = [list(r) for r in IntMatrix.identity(n).data] if track else []
 
     def row_sub(i, t, q):
         a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         u[i] = [x - q * y for x, y in zip(u[i], u[t])]
         if modulus:
             a[i] = [x % modulus for x in a[i]]
-            u[i] = [x % modulus for x in u[i]]
 
     def col_sub(j, t, q):
         for row in a + v:
@@ -292,9 +285,6 @@ def smith_normal_form(A: IntMatrix, left: Optional[IntMatrix] = None,
             for k in range(len(ui)):
                 ui[k], uj[k] = x * ui[k] + y * uj[k], \
                     -(dj // g) * ui[k] + (di // g) * uj[k]
-            if modulus:
-                u[i] = [c % modulus for c in ui]
-                u[j] = [c % modulus for c in uj]
             for row in v:
                 row[i], row[j] = row[i] + row[j], \
                     -(y * dj // g) * row[i] + (x * di // g) * row[j]
@@ -305,9 +295,8 @@ def smith_normal_form(A: IntMatrix, left: Optional[IntMatrix] = None,
     D = IntMatrix.from_rows(tuple(tuple([a[i][j] if i == j else 0
                                          for j in range(n)])
                                   for i in range(m)), cols=n)
-    U = IntMatrix.from_rows(tuple(map(tuple, u)),
-                            cols=m if left is None else left.cols)
-    return SNFResult(U=U, D=D, V=IntMatrix(v, cols=n) if track_v else None)
+    U = IntMatrix.from_rows(tuple(map(tuple, u)), cols=m if track else 0)
+    return SNFResult(U=U, D=D, V=IntMatrix(v, cols=n) if track else None)
 
 
 def _gcdext(a: int, b: int) -> tuple:
@@ -381,35 +370,11 @@ def lattice_member(A: IntMatrix, v: Sequence[int], d: int = 0) -> bool:
     return settle([x % d for x in v] if d else list(v)) is None
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
-    """A quotient Z^n / R in invariant-factor form.
-
-    `invariant_factors` has length `ambient_rank`; factor 0 encodes an
-    infinite cyclic summand.  `projection` is a unimodular matrix carrying
-    ambient coordinates to factor coordinates, so membership in the relation
-    subgroup R is exactly "all factor coordinates vanish modulo their
-    factor"; a presentation of the factors alone has a projection with no
-    columns, which `coset_normal_form` refuses.  The relations themselves
-    are not kept.
-    """
-
-    ambient_rank: int
-    invariant_factors: tuple
-    projection: IntMatrix
-
-    def order(self) -> Optional[int]:
-        """Group order, or None when some factor is infinite."""
-        total = 1
-        for d in self.invariant_factors:
-            if d == 0:
-                return None
-            total *= d
-        return total
-
-
-def coset_normal_form(G: AbelianGroupPresentation, v: Sequence[int]) -> tuple:
-    """Canonical factor coordinates of the coset v + R.
+def coset_normal_form(G, v: Sequence[int]) -> tuple:
+    """Canonical factor coordinates of the coset v + R in a presentation G
+    of Z^n / R: an object with `ambient_rank` n, `invariant_factors` (0
+    for an infinite cyclic summand) and a unimodular `projection` from
+    ambient to factor coordinates.
 
     Coordinates sit in [0, d) for each finite factor d and are left whole for
     infinite factors, so two vectors agree exactly when they differ by an

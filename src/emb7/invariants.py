@@ -18,9 +18,7 @@ Two shortcuts keep the fiber computations small:
   each t_i is replaced by gcd(t_i, d), and for d = 2, 2L is 0 mod 2 and
   nothing is eliminated.  For d = 0 it runs over Z.  `k_group` keeps the
   factors alone and tracks no transform; `classify.classes_equal` tests
-  lattice membership instead.  `k_group_presentation` with a square P
-  starts the row operations from P, so U = U_L P is the projection to
-  factor coordinates, in [0, d) for d != 0: the tests' coset oracle.
+  lattice membership instead.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
@@ -33,11 +31,12 @@ Two shortcuts keep the fiber computations small:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact
-from .exact import AbelianGroupPresentation, IntMatrix, vector_gcd
+from .exact import IntMatrix, vector_gcd
 from .manifolds import ManifoldData
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -48,16 +47,17 @@ class KGroup:
     """Value group of the beta invariant over a fixed (u, L) fiber.
 
     The group is H1 modulo the columns of 2*Lambda together with d times
-    the identity, where Lambda is the adjoint of L and d = divisibility(u);
-    `k_group` computes it from the Smith form of 2L as factors alone, so
-    `group.projection` has no columns (see the module docstring).
+    the identity, where Lambda is the adjoint of L and d = divisibility(u),
+    held as its invariant factors, one per H1 coordinate; factor 0 is an
+    infinite cyclic summand (see the module docstring).
     """
 
-    group: AbelianGroupPresentation
+    factors: tuple
     d: int
 
     def size(self) -> Optional[int]:
-        return self.group.order()
+        """Group order, or None when some factor is infinite."""
+        return None if 0 in self.factors else math.prod(self.factors)
 
 
 def divisibility(u: Sequence[int]) -> int:
@@ -128,38 +128,29 @@ def is_symmetric_pair(data: ManifoldData, u: Sequence[int],
                for x, y, z in zip(col, row, trow))
 
 
-def k_group_presentation(L: IntMatrix, d: int,
-                         P: Optional[IntMatrix] = None) -> AbelianGroupPresentation:
-    """Quotient of H1 by the columns of 2*Lambda together with d*identity,
-    where Lambda = P^-1 L (P defaults to the identity, so L is Lambda), from
-    one Smith reduction of 2L started from P: over Z/d for d != 0, over Z
-    for d = 0 (see the module docstring).  A P with no columns (b1 x 0)
-    gives the factors alone, with a projection of no columns, which
-    `exact.coset_normal_form` refuses."""
-    left = IntMatrix.identity(L.rows) if P is None else P
+def k_group_factors(L: IntMatrix, d: int) -> tuple:
+    """Invariant factors of H1 modulo the columns of 2*Lambda together with
+    d*identity, for any L = P Lambda with P unimodular, from one Smith
+    reduction of 2L that tracks no transform: over Z/d for d != 0, over Z
+    for d = 0 (see the module docstring)."""
     twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
                                       for row in L.data), cols=L.cols)
     # looked up on the module so that a wrapper installed on
     # exact.smith_normal_form at run time also sees this call
-    res = exact.smith_normal_form(twice, left=left, modulus=d)
+    res = exact.smith_normal_form(twice, modulus=d, transforms=False)
     # rows beyond min(b1, b3) meet no column of 2L, only d: factor gcd(0, d)
-    pad = (d,) * (L.rows - min(res.D.shape))
-    return AbelianGroupPresentation(ambient_rank=L.rows,
-                                    invariant_factors=res.diagonal() + pad,
-                                    projection=res.U)
+    return res.diagonal() + (d,) * (L.rows - min(res.D.shape))
 
 
 def k_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:
     """The beta value group for the fiber over (u, L): its invariant
-    factors, from one Smith reduction of 2L that tracks no transform, over
-    Z/d for d = divisibility(u) != 0 and over Z for d = 0 (see the module
-    docstring).  Expects data that passed `validate`: for a P that is not
-    unimodular the factors are wrong, and no check here says so."""
+    factors, with d = divisibility(u) (see `k_group_factors`).  Expects
+    data that passed `validate`: for a P that is not unimodular the
+    factors are wrong, and no check here says so."""
     if not is_symmetric_pair(data, u, L):
         raise ValueError("(u, L) is not a symmetric pair; the fiber is empty")
     d = divisibility(u)
-    return KGroup(group=k_group_presentation(L, d, IntMatrix.zeros(L.rows, 0)),
-                  d=d)
+    return KGroup(factors=k_group_factors(L, d), d=d)
 
 
 def whitney_w(data: ManifoldData, L: IntMatrix) -> tuple:

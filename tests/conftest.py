@@ -12,8 +12,7 @@ import emb7
 import emb7.linking as lk
 from emb7 import jsonio, quat
 from emb7.classify import fiber_group
-from emb7.exact import (AbelianGroupPresentation, IntMatrix,
-                        inverse_unimodular, smith_normal_form)
+from emb7.exact import IntMatrix, inverse_unimodular, smith_normal_form
 from emb7.manifolds import ManifoldData, builtin, validate
 from emb7.moves import Move
 
@@ -56,16 +55,35 @@ def scaled(m: IntMatrix, c: int) -> IntMatrix:
     return IntMatrix([[c * a for a in r] for r in m.data], cols=m.cols)
 
 
-def cokernel(ambient_rank: int, relations: IntMatrix) -> AbelianGroupPresentation:
+@dataclasses.dataclass(frozen=True)
+class Presentation:
+    """A quotient Z^n / R in invariant-factor form: `invariant_factors` has
+    length `ambient_rank` (0 for an infinite cyclic summand), and the
+    unimodular `projection` carries ambient to factor coordinates, so v
+    lies in R exactly when every factor coordinate vanishes modulo its
+    factor (`exact.coset_normal_form` reads it)."""
+
+    ambient_rank: int
+    invariant_factors: tuple
+    projection: IntMatrix
+
+    def order(self):
+        """Group order, or None when some factor is infinite."""
+        factors = self.invariant_factors
+        return None if 0 in factors else math.prod(factors)
+
+
+def cokernel(ambient_rank: int, relations: IntMatrix) -> Presentation:
     """Present Z^ambient_rank modulo the column span of `relations`, from
-    the Smith form of the whole relation matrix (the reference route)."""
+    the Smith form of the whole relation matrix over Z, with its U as the
+    projection: the tests' reference route and coset oracle."""
     if relations.rows != ambient_rank:
         raise ValueError(
             f"relations have {relations.rows} rows, ambient rank is {ambient_rank}")
     res = smith_normal_form(relations)
     diag = res.diagonal()
     factors = tuple(diag) + (0,) * (ambient_rank - len(diag))
-    return AbelianGroupPresentation(
+    return Presentation(
         ambient_rank=ambient_rank,
         invariant_factors=factors,
         projection=res.U,

@@ -29,7 +29,8 @@ UNREACHED = {
         "the full-grid reference the tests hold the tau slice to; "
         "perfbench traces it by name",
     "emb7.exact.coset_normal_form":
-        "the tests' coset oracle; perfbench traces it by name",
+        "the coset form over the tests' reference presentation; kept by "
+        "name while perfbench's tracer wraps it",
     "emb7.exact.IntMatrix.diagonal": "test fixtures build diagonal forms",
     "emb7.exact.IntMatrix.T": "test fixtures change bases with it",
     "emb7.exact.IntMatrix.__add__": "test fixtures add slices with it",
