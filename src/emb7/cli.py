@@ -309,7 +309,7 @@ def _cmd_link_tau(args):
     try:
         report = linking.verify_lambda_tau(args.l, args.b,
                                            resolution=args.resolution)
-    except (linking.SeparationError, linking.UnconvergedError) as exc:
+    except linking.UnconvergedError as exc:
         return {"error": str(exc)}, 1
     return {
         "estimate": report.estimate,

@@ -14,15 +14,19 @@ one point x_t = cos t + i sin t of each conjugacy class, and the other
 over the xi2 = 0 column of its Hopf grid, which the e^{i s} fixing x_t
 shift along xi2.  Cycles without that symmetry are summed over the full
 Hopf grid on both sides, the reference the tests hold the slice to.
+
+A tau node costs a fixed number of numpy calls at every l: the power
+x -> x^l and its derivative are closed forms (`quat.power_jet`), the
+frame is a signed gather of x's components (`quat.frame`), and the slice
+and the column are built once per process and shared read-only.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -36,16 +40,12 @@ VOL_S6 = 16.0 * math.pi ** 3 / 15.0
 INTEGRAND_SIGN = -1.0
 
 
-class SeparationError(RuntimeError):
-    """A caller-supplied separation bound is not positive."""
-
-
 class UnconvergedError(RuntimeError):
     """Quadrature residual too large; raise the resolution."""
 
 
-@dataclass
-class ParamCycle:
+class ParamCycle(namedtuple("ParamCycle", "jet conjugation_symmetric",
+                            defaults=(False,))):
     """A smooth parametrized oriented 3-cycle in R^7.
 
     `jet` maps unit quaternions x (..., 4) to the points (..., 7) and their
@@ -59,15 +59,22 @@ class ParamCycle:
     point's stabiliser e^{i s} shifts along xi2.
     """
 
-    jet: Callable
-    conjugation_symmetric: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SphereGrid:
-    points: np.ndarray    # (N, 4) unit quaternions
-    tangents: np.ndarray  # (N, 3, 4) coordinate tangents
-    weights: np.ndarray   # (N,) product quadrature weights
+# points (N, 4) unit quaternions, tangents (N, 3, 4) coordinate tangents,
+# weights (N,) product quadrature weights, and coeff (N, 3, 3) the tangents
+# in the frame (x i, x j, x k) along which the jets differentiate
+SphereGrid = namedtuple("SphereGrid", "points tangents weights coeff")
+
+
+def _sphere_grid(points, tangents, weights) -> SphereGrid:
+    """The grid of these arrays, all made read-only, as the cached grids
+    are shared by every caller."""
+    coeff = np.einsum("nad,nbd->nab", tangents, quat.frame(points))
+    for a in (points, tangents, weights, coeff):
+        a.flags.writeable = False
+    return SphereGrid(points, tangents, weights, coeff)
 
 
 def hopf_grid(n: int) -> SphereGrid:
@@ -85,7 +92,7 @@ def _hopf_nodes(n: int, cols: int) -> SphereGrid:
     """The nodes of hopf_grid(n) on its first `cols` xi2."""
     if n < 1:
         raise ValueError("resolution must be >= 1")
-    nodes, wts = np.polynomial.legendre.leggauss(n)
+    nodes, wts = _gauss_legendre(n)
     eta = (nodes + 1.0) * (math.pi / 4.0)
     w_eta = wts * (math.pi / 4.0)
     m = 2 * n
@@ -104,7 +111,31 @@ def _hopf_nodes(n: int, cols: int) -> SphereGrid:
     d_xi2 = np.stack([z, z, -se * s2, se * c2], axis=-1)
     tangents = np.stack([d_eta, d_xi1, d_xi2], axis=-2)
     weights = np.repeat(w_eta * w_xi * w_xi, m * cols)
-    return SphereGrid(points=pts, tangents=tangents, weights=weights)
+    return _sphere_grid(pts, tangents, weights)
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton's
+    method on the three-term recurrence of P_n, node by node from
+    -cos(pi (k + 3/4) / (n + 1/2)) on the lower half, mirrored, then
+    symmetrized and scaled to total 2 as numpy's leggauss does."""
+    nodes, weights = [], []
+    for k in range((n + 1) // 2):
+        x = -math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    x = np.array(nodes + [-v for v in reversed(nodes[:n // 2])])
+    w = np.array(weights + weights[:n // 2][::-1])
+    return (x - x[::-1]) / 2.0, w * (2.0 / w.sum())
 
 
 def _midpoint_grid_points(m: int, length: float) -> tuple:
@@ -146,32 +177,32 @@ def tau_fiber_separation(l: int) -> float:
     return math.sqrt(square) / _POLE_FACTOR
 
 
+@functools.lru_cache(maxsize=8)
 def _xi2_column(n: int) -> SphereGrid:
-    """The xi2 = 0 nodes of hopf_grid(n)."""
+    """The xi2 = 0 nodes of hopf_grid(n), built once per process."""
     return _hopf_nodes(n, 1)
 
 
+@functools.lru_cache(maxsize=8)
 def _slice_grid(n: int) -> SphereGrid:
     """x_t = cos t + i sin t at t = pi k / m, k < m = 2n: one point of each
     conjugacy class of S^3, weighted by the class's area 4 pi sin^2 t times
     the step pi / m of the trapezoid rule on [0, pi].  The tangents are
-    -frame(x_t), which have the orientation of hopf_grid's tangents."""
+    -frame(x_t), which have the orientation of hopf_grid's tangents.  Built
+    once per process."""
     m = 2 * n
     t = math.pi * np.arange(m) / m
     pts = np.zeros((m, 4))
     pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
-    return SphereGrid(points=pts, tangents=-quat.frame(pts),
-                      weights=4.0 * math.pi * np.sin(t) ** 2 * (math.pi / m))
+    return _sphere_grid(pts, -quat.frame(pts),
+                        4.0 * math.pi * np.sin(t) ** 2 * (math.pi / m))
 
 
 def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
     F, J = cycle.jet(grid.points)
-    fr = quat.frame(grid.points)
-    coeff = np.einsum("nad,nbd->nab", grid.tangents, fr)
-    dF = np.einsum("nab,nbi->nai", coeff, J)
+    dF = np.einsum("nab,nbi->nai", grid.coeff, J)
     return (np.ascontiguousarray(F, dtype=np.float64),
-            np.ascontiguousarray(dF, dtype=np.float64),
-            np.ascontiguousarray(grid.weights, dtype=np.float64))
+            np.ascontiguousarray(dF, dtype=np.float64), grid.weights)
 
 
 # Row triples of a 7x3 block, in lexicographic order: the index set of the
@@ -185,15 +216,16 @@ def _laplace_terms() -> tuple:
     det[d | X | Y] = sum_K Y_K sum_t S[t, K] d_I[t, K] X_J[t, K] along its
     column blocks, X_J, Y_K being 3x3 minors on the triples of _TRIPLES.
     I[:, K] are the rows outside K in increasing order, J the other three,
-    S the sign of the row permutation (I, J, K).  Built on first use."""
+    S the sign of the row permutation (I, J, K): the rows outside K pass
+    over 3 + m - K_m of K's m-th row, 15 - sum(K) inversions in all, and
+    I moves t places to the front.  Built on first use."""
     index = {t: k for k, t in enumerate(map(tuple, _TRIPLES.tolist()))}
     I, J, S = (np.zeros((4, 35), dtype=dt) for dt in (int, int, float))
     for k, K in enumerate(index):
         rest = [r for r in range(7) if r not in K]
         for t, i in enumerate(rest):
-            Jt = tuple(r for r in rest if r != i)
-            inversions = sum(a > b for a, b in combinations((i,) + Jt + K, 2))
-            I[t, k], J[t, k], S[t, k] = i, index[Jt], (-1) ** inversions
+            I[t, k], J[t, k] = i, index[tuple(r for r in rest if r != i)]
+            S[t, k] = (-1) ** (15 - sum(K) + t)
     I.flags.writeable = J.flags.writeable = S.flags.writeable = False
     return I, J, S
 
@@ -257,13 +289,9 @@ def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
     return total
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    estimate: float
-    value: int
-    residual: float
-    separation: float
-    resolution: int
+# `value` is the rounded `estimate`; `passed` says that it lies within 0.1
+# of it and, from verify_lambda_tau, that it is the expected l
+LinkResult = namedtuple("LinkResult", "estimate value residual passed")
 
 
 def linking_number(X: ParamCycle, Y: ParamCycle,
@@ -273,12 +301,12 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     """Linking number of two disjoint 3-cycles as a certified rounding of
     the Gauss-map degree integral.
 
-    `separation` is always the caller's certified lower bound on the
-    distance between the two images (`tau_fiber_separation` for the tau
-    fibers); it is checked for sign and carried into the result, and no
-    certification happens here.  Raises SeparationError when it is not
-    positive and, if `require_convergence`, UnconvergedError when the
-    estimate is not within 0.25 of an integer.
+    `separation` is the caller's certified lower bound on the distance
+    between the two images (`tau_fiber_separation` for the tau fibers, and
+    positive by construction): it witnesses that the images are disjoint,
+    so that the degree is defined, and is not read here.  Raises, if
+    `require_convergence`, UnconvergedError when the estimate is not
+    within 0.25 of an integer.
 
     When both cycles are `conjugation_symmetric`, conjugation by every
     unit quaternion rotates R^7 and keeps the integrand of every pair, so
@@ -290,8 +318,6 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
     the column gives the whole grid's sum up to rounding.  That is
     2n + 2n^2 jets and 4n^3 pairs at n = resolution.
     """
-    if separation <= 0:
-        raise SeparationError("caller-supplied separation is not positive")
     if X.conjugation_symmetric and Y.conjugation_symmetric:
         fy, dfy, wy = _cycle_nodes(Y, _xi2_column(resolution))
         wy = wy * (2 * resolution)
@@ -308,8 +334,7 @@ def linking_number(X: ParamCycle, Y: ParamCycle,
         raise UnconvergedError(
             f"estimate {estimate:.6f} is not near an integer; "
             f"raise the resolution (currently {resolution})")
-    return LinkResult(estimate=estimate, value=value, residual=residual,
-                      separation=separation, resolution=resolution)
+    return LinkResult(estimate, value, residual, residual < 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +360,7 @@ def stereographic_jet(y: np.ndarray, dy: np.ndarray) -> tuple:
     return z, dz
 
 
-@dataclass(frozen=True)
-class TauEmbedding:
+class TauEmbedding(namedtuple("TauEmbedding", "l b")):
     """The twisted torus embedding of type (l, b).
 
     Maps (theta, x) to (x, alpha1(x) cos(theta) + alpha2(x) sin(theta)) on
@@ -344,8 +368,7 @@ class TauEmbedding:
     stereographic pole e5 is never in the image.
     """
 
-    l: int
-    b: int
+    __slots__ = ()
 
     def fiber(self, sign: int = 1, project: bool = True) -> ParamCycle:
         """The cycle x -> (x, sign * x^l)/sqrt(2) cut out by theta = 0 or
@@ -358,7 +381,7 @@ class TauEmbedding:
 
         def jet(x):
             fr = quat.frame(x)
-            v, dv = quat.jet_pow((x, fr), l)
+            v, dv = quat.power_jet(x, fr, l)
             y = np.concatenate([x, sign * v], axis=-1) / math.sqrt(2.0)
             dy = np.concatenate([fr, sign * dv], axis=-1) / math.sqrt(2.0)
             return stereographic_jet(y, dy) if project else (y, dy)
@@ -367,22 +390,11 @@ class TauEmbedding:
 
 
 def tau_embedding(l: int, b: int) -> TauEmbedding:
-    return TauEmbedding(l=int(l), b=int(b))
-
-
-@dataclass(frozen=True)
-class TauVerification:
-    l: int
-    b: int
-    estimate: float
-    value: int
-    residual: float
-    passed: bool
-    resolution: int
+    return TauEmbedding(int(l), int(b))
 
 
 def verify_lambda_tau(l: int, b: int,
-                      resolution: int = DEFAULT_RESOLUTION) -> TauVerification:
+                      resolution: int = DEFAULT_RESOLUTION) -> LinkResult:
     """Check that the theta = 0 and theta = pi fibers of the (l, b) torus
     link exactly l times.
 
@@ -394,7 +406,4 @@ def verify_lambda_tau(l: int, b: int,
     sep = tau_fiber_separation(l)
     res = linking_number(emb.fiber(+1), emb.fiber(-1),
                          resolution=resolution, separation=sep)
-    passed = res.value == l and res.residual < 0.1
-    return TauVerification(l=l, b=b, estimate=res.estimate, value=res.value,
-                           residual=res.residual, passed=passed,
-                           resolution=resolution)
+    return res._replace(passed=res.passed and res.value == l)

@@ -1,35 +1,16 @@
-"""Batched quaternion arithmetic on float arrays of shape (..., 4).
-
-Components are ordered (w, x, y, z).  Jets pair a value array with its
-directional derivatives along a set of tangent directions (an extra axis
-just before the component axis), which is how analytic Jacobians of
-quaternion-polynomial maps are propagated.
+"""Unit quaternions as float arrays of shape (..., 4), components ordered
+(w, x, y, z): the tangent frame of S^3, and the power map x -> x^l with its
+derivative along that frame, each in a fixed number of numpy calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-QI = np.array([0.0, 1.0, 0.0, 0.0])
-QJ = np.array([0.0, 0.0, 1.0, 0.0])
-QK = np.array([0.0, 0.0, 0.0, 1.0])
-QONE = np.array([1.0, 0.0, 0.0, 0.0])
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
-
-
-def qconj(a: np.ndarray) -> np.ndarray:
-    return a * _CONJ
+# x*i, x*j, x*k are signed permutations of x's components
+_FRAME_INDEX = np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_FRAME_SIGN = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0],
+                        [-1.0, 1.0, -1.0, 1.0]])
 
 
 def frame(x: np.ndarray) -> np.ndarray:
@@ -37,32 +18,30 @@ def frame(x: np.ndarray) -> np.ndarray:
 
     Returns shape (..., 3, 4); globally smooth and orientation-consistent.
     """
-    return np.stack([qmul(x, QI), qmul(x, QJ), qmul(x, QK)], axis=-2)
+    return x[..., _FRAME_INDEX] * _FRAME_SIGN
 
 
-def jet_mul(a: tuple, b: tuple) -> tuple:
-    va, da = a
-    vb, db = b
-    return (qmul(va, vb),
-            qmul(da, vb[..., None, :]) + qmul(va[..., None, :], db))
+def power_jet(x: np.ndarray, fr: np.ndarray, l: int) -> tuple:
+    """x^l at unit quaternions x, and its derivative (..., 3, 4) along the
+    frame fr = frame(x), in closed form.
 
-
-def jet_conj(a: tuple) -> tuple:
-    return (qconj(a[0]), qconj(a[1]))
-
-
-def jet_pow(a: tuple, n: int) -> tuple:
-    """Integer power of a unit-quaternion jet.
-
-    Negative powers use conjugation, which is the inverse on the unit
-    sphere (and differentiates accordingly along tangent directions).
+    With x = cos t + n sin t, x^l = cos lt + n sin lt.  Along x v for a unit
+    imaginary v the derivative is (v.n) l x^l n on the part of v along n,
+    and S x v on the part orthogonal to it, S = sin lt / sin t = U_{l-1}
+    (cos t); together (v.n) [(l cos lt - S cos t) n - (l - 1) sin lt]
+    + S x v.  Nodes with w < 0 are first folded through x -> -x, under
+    which the power takes the sign (-1)^l, so t <= pi/2: S never divides a
+    cancelled sin lt by a small sin t, and at t = 0 it is l, with n = 0.
     """
-    if n < 0:
-        return jet_pow(jet_conj(a), -n)
-    va, da = a
-    value = np.broadcast_to(QONE, va.shape).copy()
-    dvalue = np.zeros_like(da)
-    acc = (value, dvalue)
-    for _ in range(n):
-        acc = jet_mul(acc, a)
-    return acc
+    sign = np.where(x[..., :1] < 0.0, -1.0, 1.0)
+    c, q = x[..., :1] * sign, x[..., 1:] * sign
+    s = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    lt = l * np.arctan2(s, c)
+    cl, sl = np.cos(lt), np.sin(lt)
+    S = np.divide(sl, s, out=np.full_like(s, float(l)), where=s > 0.0)
+    n = np.divide(q, s, out=np.zeros_like(q), where=s > 0.0)
+    parity = sign ** (l % 2)
+    along = np.concatenate([(1 - l) * sl, (l * cl - S * c) * n], axis=-1)
+    d = n[..., :, None] * along[..., None, :] + (S * sign)[..., None] * fr
+    return (np.concatenate([cl, q * S], axis=-1) * parity,
+            d * parity[..., None])

@@ -250,6 +250,61 @@ def direct_sum(d1: ManifoldData, d2: ManifoldData) -> ManifoldData:
     return data
 
 
+# --- quaternion oracles --------------------------------------------------------
+# Products of quaternion arrays (..., 4), components (w, x, y, z), and jets:
+# a value with its derivatives along tangent directions (an extra axis just
+# before the component axis).  The reference for quat.frame and
+# quat.power_jet, and the arithmetic of the tests' other fiber models.
+
+QI = np.array([0.0, 1.0, 0.0, 0.0])
+QJ = np.array([0.0, 0.0, 1.0, 0.0])
+QK = np.array([0.0, 0.0, 0.0, 1.0])
+QONE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
+    return np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1)
+
+
+def qconj(a: np.ndarray) -> np.ndarray:
+    return a * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def jet_mul(a: tuple, b: tuple) -> tuple:
+    va, da = a
+    vb, db = b
+    return (qmul(va, vb),
+            qmul(da, vb[..., None, :]) + qmul(va[..., None, :], db))
+
+
+def jet_conj(a: tuple) -> tuple:
+    return (qconj(a[0]), qconj(a[1]))
+
+
+def jet_pow(a: tuple, n: int) -> tuple:
+    """Integer power of a unit-quaternion jet by |n| products.
+
+    Negative powers use conjugation, which is the inverse on the unit
+    sphere (and differentiates accordingly along tangent directions).
+    """
+    if n < 0:
+        return jet_pow(jet_conj(a), -n)
+    va, da = a
+    value = np.broadcast_to(QONE, va.shape).copy()
+    dvalue = np.zeros_like(da)
+    acc = (value, dvalue)
+    for _ in range(n):
+        acc = jet_mul(acc, a)
+    return acc
+
+
 # --- test-only linking models ------------------------------------------------
 
 
@@ -263,7 +318,7 @@ def reversed_cycle(cycle: lk.ParamCycle) -> lk.ParamCycle:
         J[..., 0, :] *= -1.0
         return F, J
 
-    return dataclasses.replace(cycle, jet=jet)
+    return cycle._replace(jet=jet)
 
 
 def fd_jacobian(cycle: lk.ParamCycle, x: np.ndarray,
@@ -271,10 +326,10 @@ def fd_jacobian(cycle: lk.ParamCycle, x: np.ndarray,
     """Central differences of the points of `cycle` along the frame
     (x i, x j, x k): the oracle for the analytic jets."""
     rows = []
-    for q in (quat.QI, quat.QJ, quat.QK):
-        step = math.cos(h) * quat.QONE + math.sin(h) * q
-        fwd = cycle.jet(quat.qmul(x, step))[0]
-        back = cycle.jet(quat.qmul(x, quat.qconj(step)))[0]
+    for q in (QI, QJ, QK):
+        step = math.cos(h) * QONE + math.sin(h) * q
+        fwd = cycle.jet(qmul(x, step))[0]
+        back = cycle.jet(qmul(x, qconj(step)))[0]
         rows.append((fwd - back) / (2.0 * h))
     return np.stack(rows, axis=-2)
 
@@ -293,14 +348,13 @@ def frame_jets(x: np.ndarray, l: int, b: int) -> tuple:
     constant frame (1, i).
     """
     xj = (x, quat.frame(x))
-    a1 = quat.jet_pow(xj, l)
+    a1 = jet_pow(xj, l)
     if b == 0:
-        w = const_jet(quat.QI, x)
+        w = const_jet(QI, x)
     else:
-        xb = quat.jet_pow(xj, b)
-        w = quat.jet_mul(quat.jet_mul(xb, const_jet(quat.QI, x)),
-                         quat.jet_conj(xb))
-    a2 = quat.jet_mul(a1, w)
+        xb = jet_pow(xj, b)
+        w = jet_mul(jet_mul(xb, const_jet(QI, x)), jet_conj(xb))
+    a2 = jet_mul(a1, w)
     return a1, a2
 
 
@@ -337,8 +391,7 @@ def t2_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
 
     def jet(y):
         yj = (y, quat.frame(y))
-        eta, deta = quat.jet_mul(quat.jet_mul(yj, const_jet(quat.QI, y)),
-                                 quat.jet_conj(yj))
+        eta, deta = jet_mul(jet_mul(yj, const_jet(QI, y)), jet_conj(yj))
         z = np.concatenate([sign * eta, y], axis=-1) / math.sqrt(2.0)
         dz = np.concatenate([sign * deta, yj[1]], axis=-1) / math.sqrt(2.0)
         return lk.stereographic_jet(z, dz) if project else (z, dz)

@@ -763,7 +763,7 @@ class TestNumpyOnlyForLinkTau:
         out = fresh_python("-c", script, json.dumps(calls), check=True)
         assert json.loads(out.stdout) == [False] * (len(calls) + 1)
 
-    @pytest.mark.parametrize("error", ["UnconvergedError", "SeparationError"])
+    @pytest.mark.parametrize("error", ["UnconvergedError"])
     def test_link_errors_are_domain_failures(self, capsys, monkeypatch, error):
         import emb7.linking
 
@@ -877,6 +877,17 @@ class TestImportsPerCommand:
     def test_command(self, argv, absent):
         loaded = emb7_modules_after(*argv)
         assert not loaded & {f"emb7.{m}" for m in absent}
+
+    def test_link_tau_loads_no_dataclasses_or_polynomial(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import emb7.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert emb7.cli.main(['link', 'tau', '--l', '2',\n"
+            "                          '--b', '1']) == 0\n"
+            "print(sorted({'dataclasses', 'numpy.polynomial'}\n"
+            "             & set(sys.modules)))\n")
+        assert fresh_python("-c", script, check=True).stdout == "[]\n"
 
 
 class TestNoArgparseWhenWellFormed:

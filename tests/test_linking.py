@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 import emb7.linking as lk
 import emb7.quat as quat
 from emb7.resolution import MAX_RESOLUTION
-from conftest import (fd_jacobian, frame_jets, reversed_cycle, t1_fiber,
-                      t1_separation, t2_fiber, t2_separation, tau_evaluate)
+from conftest import (QI, QJ, QK, QONE, fd_jacobian, frame_jets, jet_pow,
+                      qconj, qmul, reversed_cycle, t1_fiber, t1_separation,
+                      t2_fiber, t2_separation, tau_evaluate)
 
 
 def reference_pair_sum(fx, dfx, wx, fy, dfy, wy):
@@ -86,11 +88,10 @@ class TestQuaternions:
         a = r.normal(size=(50, 4))
         b = r.normal(size=(50, 4))
         # |ab| = |a||b| and conj is an anti-automorphism
-        assert np.allclose(np.linalg.norm(quat.qmul(a, b), axis=-1),
+        assert np.allclose(np.linalg.norm(qmul(a, b), axis=-1),
                            np.linalg.norm(a, axis=-1)
                            * np.linalg.norm(b, axis=-1))
-        assert np.allclose(quat.qconj(quat.qmul(a, b)),
-                           quat.qmul(quat.qconj(b), quat.qconj(a)))
+        assert np.allclose(qconj(qmul(a, b)), qmul(qconj(b), qconj(a)))
 
     def test_frame_orthonormal(self):
         r = np.random.default_rng(4)
@@ -107,18 +108,113 @@ class TestQuaternions:
         x = r.normal(size=(20, 4))
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
         for n in (-3, -1, 0, 2, 5):
-            _, dv = quat.jet_pow((x, quat.frame(x)), n)
+            _, dv = jet_pow((x, quat.frame(x)), n)
             h = 1e-6
-            for k, q in enumerate((quat.QI, quat.QJ, quat.QK)):
-                step = math.cos(h) * quat.QONE + math.sin(h) * q
-                fwd, _ = quat.jet_pow((quat.qmul(x, step), quat.frame(x)), n)
-                back, _ = quat.jet_pow((quat.qmul(x, quat.qconj(step)),
-                                        quat.frame(x)), n)
+            for k, q in enumerate((QI, QJ, QK)):
+                step = math.cos(h) * QONE + math.sin(h) * q
+                fwd, _ = jet_pow((qmul(x, step), quat.frame(x)), n)
+                back, _ = jet_pow((qmul(x, qconj(step)), quat.frame(x)), n)
                 fd = (fwd - back) / (2 * h)
                 assert np.allclose(dv[:, k, :], fd, atol=1e-7)
 
 
+def nodes_near_the_poles():
+    """Seeded unit quaternions, and nodes within 1e-6 of theta = 0 and
+    theta = pi, where x = cos theta + n sin theta loses its axis n."""
+    r = np.random.default_rng(6)
+    x = r.normal(size=(60, 4))
+    near = []
+    for pole in (1.0, -1.0):
+        for eps in (0.0, 1e-300, 1e-12, 1e-9, 1e-6):
+            axis = unit_imaginary(r, 4)
+            near.append(pole * math.cos(eps) * QONE + math.sin(eps) * axis)
+    x = np.concatenate([x, *near])
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+class TestClosedForms:
+    def test_frame_is_the_products(self):
+        # frame gathers and signs x's components: the entries of qmul(x, u)
+        # bit for bit, on nodes with no zero component
+        r = np.random.default_rng(7)
+        x = r.normal(size=(50, 4))
+        fr = quat.frame(x)
+        for row, u in enumerate((QI, QJ, QK)):
+            assert np.array_equal(fr[:, row].view(np.int64),
+                                  qmul(x, u).view(np.int64))
+
+    @pytest.mark.parametrize("l", range(-8, 9))
+    def test_power_jet_matches_products(self, l):
+        x = nodes_near_the_poles()
+        fr = quat.frame(x)
+        value, d = quat.power_jet(x, fr, l)
+        ref_value, ref_d = jet_pow((x, fr), l)
+        assert np.abs(value - ref_value).max() <= 1e-12
+        assert np.abs(d - ref_d).max() <= 1e-12
+
+    @pytest.mark.parametrize("l", [1000, -1000])
+    def test_power_jet_matches_cone_derivatives(self, l):
+        # x = cos t + k sin t: x^l = cos lt + k sin lt, and the derivatives
+        # of seifert_cone_dets, (sin lt / sin t) x u for u = i, j and
+        # l x^l k along x k, evaluated at 40 digits at each node's own
+        # angle; t spans both poles' neighbourhoods
+        import mpmath
+        t = np.concatenate([[1e-9, 1e-6, 1e-3], np.linspace(0.01, 3.13, 997),
+                            math.pi - np.array([1e-3, 1e-6, 1e-9])])
+        x = np.cos(t)[:, None] * QONE + np.sin(t)[:, None] * QK
+        value, d = quat.power_jet(x, quat.frame(x), l)
+        with mpmath.workdps(40):
+            angle = [mpmath.atan2(b, a) for a, b in x[:, [0, 3]]]
+            cos_l, sin_l, ratio = (np.array([float(f(a)) for a in angle])
+                                   for f in (lambda a: mpmath.cos(l * a),
+                                             lambda a: mpmath.sin(l * a),
+                                             lambda a: mpmath.sin(l * a)
+                                             / mpmath.sin(a)))
+        power = cos_l[:, None] * QONE + sin_l[:, None] * QK
+        ratio = ratio[:, None]
+        # the float angle of a node carries a rounding of |l| t 1e-16 into
+        # lt, which the derivative along x k scales by |l|
+        assert np.abs(value - power).max() <= 1e-12
+        assert np.abs(d[:, 0] - ratio * qmul(x, QI)).max() <= 1e-12
+        assert np.abs(d[:, 1] - ratio * qmul(x, QJ)).max() <= 1e-12
+        assert np.abs(d[:, 2] - l * qmul(power, QK)).max() <= 1e-12 * abs(l)
+
+    def test_cost_does_not_grow_with_l(self):
+        # the jets take a fixed number of numpy calls at every l
+        def best(l):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                try:
+                    lk.verify_lambda_tau(l, 0, 7)
+                except lk.UnconvergedError:
+                    pass
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        best(1)
+        assert best(1000) <= 4 * best(1)
+
+
 class TestGrid:
+    @pytest.mark.parametrize("n", range(1, MAX_RESOLUTION + 1))
+    def test_gauss_legendre_matches_numpy(self, n):
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = lk._gauss_legendre(n)
+        ref_nodes, ref_weights = leggauss(n)
+        assert np.abs(nodes - ref_nodes).max() <= 1e-14
+        assert np.abs(weights - ref_weights).max() <= 1e-14
+
+    @pytest.mark.parametrize("build", [lk._xi2_column, lk._slice_grid])
+    def test_grids_are_shared_and_read_only(self, build):
+        grid = build(5)
+        assert build(5) is grid
+        lk.verify_lambda_tau(1, 0, 5)
+        assert build(5) is grid
+        for array in grid:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
     def test_volume_of_s3(self):
         # integrating the pulled-back volume form must give 2*pi^2
         grid = lk.hopf_grid(8)
@@ -166,8 +262,8 @@ class TestTauEmbedding:
         emb = lk.tau_embedding(0, 0)
         x = lk.hopf_grid(2).points
         (a1, _), (a2, _) = frame_jets(x, 0, 0)
-        assert np.allclose(a1, quat.QONE)
-        assert np.allclose(a2, quat.QI)
+        assert np.allclose(a1, QONE)
+        assert np.allclose(a2, QI)
 
     def test_injectivity_spot_check(self):
         emb = lk.tau_embedding(2, 1)
@@ -274,12 +370,6 @@ class TestLinkingNumber:
                                      resolution=2 * n, separation=sep,
                                      require_convergence=False)
             assert fine.residual < coarse.residual
-
-    def test_caller_separation_must_be_positive(self):
-        with pytest.raises(lk.SeparationError):
-            lk.linking_number(round_sphere([0] * 7),
-                              round_sphere([5, 0, 0, 0, 0, 0, 0]),
-                              resolution=3, separation=0.0)
 
     def test_unconverged_reported(self):
         # tau(2, 0) at resolution 1 estimates 0.691, not near an integer
@@ -486,8 +576,8 @@ def seifert_cone_dets(l):
     power = np.zeros_like(x)
     power[:, 0], power[:, 3] = np.cos(l * theta), np.sin(l * theta)
     ratio = (np.sin(l * theta) / np.sin(theta))[:, None]
-    xi, xj, xk = (quat.qmul(x, u) for u in (quat.QI, quat.QJ, quat.QK))
-    dk = l * quat.qmul(power, quat.QK)
+    xi, xj, xk = (qmul(x, u) for u in (QI, QJ, QK))
+    dk = l * qmul(power, QK)
 
     def cycle_frame(sign):
         return [np.concatenate([xu, sign * du], axis=-1)
@@ -537,7 +627,7 @@ def unit_imaginary(r, n):
 def exp_imaginary(axis, t):
     """exp(axis t) for unit imaginary quaternions `axis`."""
     t = np.asarray(t, dtype=float)[..., None]
-    return np.cos(t) * quat.QONE + np.sin(t) * axis
+    return np.cos(t) * QONE + np.sin(t) * axis
 
 
 def sampled_min(X, Y, k, seed=0):
@@ -551,10 +641,10 @@ def sampled_min(X, Y, k, seed=0):
     y = r.normal(size=(2000, 4))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
     t = r.uniform(0.0, math.pi / max(1, abs(k)), size=len(x))
-    near = quat.qmul(x, exp_imaginary(unit_imaginary(r, len(x)), t))
+    near = qmul(x, exp_imaginary(unit_imaginary(r, len(x)), t))
     s = 2.0 * math.pi * np.arange(128) / 128
     S, T = (a.ravel() for a in np.meshgrid(s, s, indexing="ij"))
-    axes = np.concatenate([[quat.QI, quat.QJ, quat.QK],
+    axes = np.concatenate([[QI, QJ, QK],
                            unit_imaginary(r, 3)])
     xs = [x, x] + [exp_imaginary(n, S) for n in axes]
     ys = [y, near] + [exp_imaginary(n, T) for n in axes]
@@ -568,6 +658,10 @@ class TestSeparation:
         emb = lk.tau_embedding(k, 0)
         bound = lk.tau_fiber_separation(k)
         assert 0 < bound <= sampled_min(emb.fiber(+1), emb.fiber(-1), k)
+
+    def test_positive_for_every_allowed_l(self):
+        assert all(lk.tau_fiber_separation(l) > 0
+                   for l in range(-1000, 1001))
 
     @pytest.mark.parametrize("k", [*range(-8, 9), 65, 1000, 10 ** 5])
     def test_analytic_floor(self, k):
