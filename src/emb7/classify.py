@@ -3,18 +3,19 @@ equality decisions, and fiber groups over a fixed (u, L).
 
 beta is stored in ambient H1 coordinates relative to an abstract basepoint
 of its fiber; only differences of beta values are meaningful, and equality
-is decided by one test of whether their difference lies in the relation
-subgroup of K_{u,L}.  Which geometric embedding the basepoint denotes is
-not recoverable from the algebra, so the CLI prints a basepoint disclaimer
-alongside every beta.
+reduces their difference against a basis of the relation subgroup of
+K_{u,L}, checked and built once per fiber by the cached `fiber_basis`.
+Which geometric embedding the basepoint denotes is not recoverable from
+the algebra, so the CLI prints a basepoint disclaimer alongside every beta.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import IntMatrix, lattice_member
+from .exact import IntMatrix, in_lattice, lattice_basis
 from .invariants import (KGroup, divisibility, is_kappa_admissible,
                          is_symmetric_pair, k_group)
 from .manifolds import ManifoldData
@@ -51,23 +52,33 @@ def _beta(data: ManifoldData, beta: Optional[Sequence[int]]) -> Optional[tuple]:
     return tuple(beta)
 
 
+FIBER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=FIBER_CACHE_SIZE)  # errors are raised, not kept
+def fiber_basis(data: ManifoldData, u: tuple, L: IntMatrix) -> tuple:
+    """(basis, d) for the fiber (u, L): u is checked admissible and (u, L)
+    a symmetric pair, d = divisibility(u), and basis is the Hermite basis
+    of 2L Z^b3 + d Z^b1 mod d (`exact.lattice_basis`).  The last
+    FIBER_CACHE_SIZE keys (data, u, L) are kept; a failed check raises on
+    every call."""
+    if not is_kappa_admissible(data, u):
+        raise ValueError(f"kappa value {u} is not admissible")
+    if not is_symmetric_pair(data, u, L):
+        raise ValueError("(u, L) is not a symmetric pair")
+    d = divisibility(u)
+    twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
+                                      for row in L.data), cols=L.cols)
+    return lattice_basis(twice, d), d
+
+
 def embedding_class(data: ManifoldData, u: Sequence[int], L: IntMatrix,
                     beta: Optional[Sequence[int]] = None) -> EmbeddingClass:
     """Validated constructor: u must be admissible and (u, L) a symmetric
-    pair, otherwise no embedding realizes the triple."""
-    if not is_kappa_admissible(data, u):
-        raise ValueError(f"kappa value {tuple(u)} is not admissible")
-    if not is_symmetric_pair(data, u, L):
-        raise ValueError("(u, L) is not a symmetric pair")
-    return EmbeddingClass(u=tuple(u), L=L, beta=_beta(data, beta))
-
-
-def same_fiber_class(data: ManifoldData, c: EmbeddingClass,
-                     beta: Optional[Sequence[int]] = None) -> EmbeddingClass:
-    """The class over the (u, L) of c with this beta.  c came from
-    `embedding_class`, so its (u, L) passed the checks there and only beta
-    is checked here."""
-    return EmbeddingClass(u=c.u, L=c.L, beta=_beta(data, beta))
+    pair, otherwise no embedding realizes the triple (`fiber_basis`)."""
+    u = tuple(u)
+    fiber_basis(data, u, L)
+    return EmbeddingClass(u=u, L=L, beta=_beta(data, beta))
 
 
 def classes_equal(data: ManifoldData, c1: EmbeddingClass,
@@ -76,18 +87,18 @@ def classes_equal(data: ManifoldData, c1: EmbeddingClass,
 
     Classes agree exactly when u and L agree and beta1 - beta2 lies in
     2*Lambda(H3) + d*H1, d = divisibility(u): with L = P Lambda and P
-    unimodular, when P(beta1 - beta2) lies in 2L*Z^b3 + d*Z^b1.  (u, L)
-    passed `embedding_class`.  Comparing betas across different (u, L)
-    fibers is meaningless and classes then simply differ.
+    unimodular, when P(beta1 - beta2) lies in 2L*Z^b3 + d*Z^b1, which is
+    decided by reduction against the fiber's cached `fiber_basis`.
+    Comparing betas across different (u, L) fibers is meaningless and
+    classes then simply differ.
     """
     if not (c1.beta_known and c2.beta_known):
         raise BetaUnknownError("both classes need a known beta for equality")
     if c1.u != c2.u or c1.L != c2.L:
         return False
-    twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
-                                      for row in c1.L.data), cols=c1.L.cols)
+    basis, d = fiber_basis(data, c1.u, c1.L)
     diff = data.P.apply([x - y for x, y in zip(c1.beta, c2.beta)])
-    return lattice_member(twice, diff, divisibility(c1.u))
+    return in_lattice(basis, diff, d)
 
 
 def fiber_group(data: ManifoldData, u: Sequence[int], L: IntMatrix) -> KGroup:

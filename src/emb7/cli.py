@@ -17,11 +17,13 @@ source of their text.
 A call pays only for its own command: each handler imports only the emb7
 modules it runs, and `import emb7` re-exports nothing.  Each input is
 decoded once, one pass per array.  A manifold file is read on every call
-but decoded and validated only when its text is not the last valid one:
-in process on the benchmark's manifolds, `classify equal` takes 0.12 ms
-and `fiber --enumerate` 0.07 ms, against 0.18 and 0.14 ms when each call
-decoded and validated its file.  Cold, these and `k-group` take 25-27
-ms, against 20 ms for `python -c "import json"` (README).
+but decoded and validated only when its text is not the last valid one,
+and `classify equal` checks a fiber only when `classify.fiber_basis` does
+not hold it: in process on the benchmark's manifolds, `classify equal`
+takes 0.055 ms (0.127 ms checking its fiber on every call) and `fiber
+--enumerate` 0.07 ms (0.14 ms decoding and validating its file on every
+call).  Cold, these and `k-group` take 25-27 ms, against 20 ms for
+`python -c "import json"` (README).
 """
 
 from __future__ import annotations
@@ -141,17 +143,13 @@ def _bounded_int(low: int, high=None):
     return parse
 
 
-def _class_payload(data, obj: dict, fiber=None):
-    """The class that `obj` gives.  When it has the same u and L as the
-    class `fiber`, which passed `classify.embedding_class`, only its beta
-    is checked."""
+def _class_payload(data, obj: dict):
+    """The class that `obj` gives."""
     from . import classify, jsonio
     u = jsonio.decode_vector(obj["u"])
     L = jsonio.decode_matrix(obj["L"], cols=data.b1)
     beta = obj.get("beta")
     beta = None if beta is None else jsonio.decode_vector(beta)
-    if fiber is not None and u == fiber.u and L == fiber.L:
-        return classify.same_fiber_class(data, fiber, beta)
     return classify.embedding_class(data, u, L, beta)
 
 
@@ -276,7 +274,7 @@ def _cmd_classify_equal(args):
     from . import classify
     data = _load_manifold(args.manifold)
     c1 = _class_payload(data, args.class1)
-    c2 = _class_payload(data, args.class2, fiber=c1)
+    c2 = _class_payload(data, args.class2)
     eq = classify.classes_equal(data, c1, c2)
     return {"equal": eq, "note": classify.BASEPOINT_NOTE}, 0
 

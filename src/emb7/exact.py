@@ -314,44 +314,49 @@ def _gcdext(a: int, b: int) -> tuple:
     return old_r, old_x, old_y
 
 
-def lattice_member(A: IntMatrix, v: Sequence[int], d: int = 0) -> bool:
-    """Whether v lies in the column span of A plus d*Z^n, n = A.rows.
+def _minus(w, q, p, d):
+    """w - q p, reduced mod d when d."""
+    return [(y - q * z) % d for y, z in zip(w, p)] if d else \
+        [y - q * z for y, z in zip(w, p)]
 
-    The columns of A go one at a time into an echelon basis by extended-gcd
-    steps, over Z for d = 0 and over Z/d otherwise, and v is reduced
-    against it; no transform and no Smith form is built.  Over Z/d the
-    basis starts as the pivots d*e_i and stays in Howell form (Storjohann
-    and Mulders, ESA 1998), so the reduction is a complete test: a step
-    that puts new = s p + t w, of leading entry g, in place of the pivot p,
-    of leading entry a, goes on with rest = (a/g) w - (x/g) p, and
+
+def _settle(basis, w, d):
+    """(i, w reduced up to i) at the first entry of w that the pivots of
+    `basis` cannot clear, or None when w reduces to 0."""
+    for i, p in enumerate(basis):
+        x = w[i]
+        if x:
+            if p is None or x % p[i]:
+                return i, w
+            w = _minus(w, x // p[i], p, d)
+    return None
+
+
+def lattice_basis(A: IntMatrix, d: int = 0) -> tuple:
+    """Hermite basis of the column span of A plus d*Z^n, n = A.rows, over Z
+    for d = 0 and over Z/d otherwise, for `in_lattice` with the same d.
+
+    Entry i is None (over Z, no pivot at i) or the basis vector whose first
+    nonzero entry, positive, is at i; over Z/d it divides d.  The columns
+    of A go in one at a time by extended-gcd steps.  Over Z/d the basis
+    starts as the pivots d*e_i and stays in Howell form (Storjohann and
+    Mulders, ESA 1998), so reduction is a complete test: a step that puts
+    new = s p + t w, of leading entry g, in place of the pivot p, of
+    leading entry a, goes on with rest = (a/g) w - (x/g) p, and
     (d/g) new = (d/a) p + (d/a) t rest lies in the span of later pivots.
+    After each column, one pass from the first pivot it changed brings the
+    earlier pivots' entries in each pivot column into [0, pivot) (Kannan
+    and Bachem, SIAM J. Comput. 1979), so the basis depends only on the
+    lattice and entries stay bounded over Z.
     """
     n = A.rows
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} != rows {n}")
     if d < 0:
         raise ValueError(f"modulus {d} is negative")
-    # piv[i] has its first nonzero entry, positive, at i; over Z/d it
-    # divides d, and over Z piv[i] is None until a column reaches i
     piv = [[d if j == i else 0 for j in range(n)] if d else None
            for i in range(n)]
-
-    def settle(w):
-        # (i, w reduced up to i) at the first entry the pivots cannot clear
-        for i in range(n):
-            x = w[i]
-            if x:
-                p = piv[i]
-                if p is None or x % p[i]:
-                    return i, w
-                q = x // p[i]
-                w = [y - q * z for y, z in zip(w, p)]
-                if d:
-                    w = [y % d for y in w]
-        return None
-
     for col in zip(*A.data):
-        hit = settle([x % d for x in col] if d else list(col))
+        hit = _settle(piv, [x % d for x in col] if d else list(col), d)
+        first = n if hit is None else hit[0]
         while hit is not None:
             i, w = hit
             p, x = piv[i], w[i]
@@ -360,14 +365,23 @@ def lattice_member(A: IntMatrix, v: Sequence[int], d: int = 0) -> bool:
                 break
             a = p[i]
             g, s, t = _gcdext(a, x)
-            new = [s * z + t * y for y, z in zip(w, p)]
-            rest = [a // g * y - x // g * z for y, z in zip(w, p)]
-            if d:
-                new = [y % d for y in new]
-                rest = [y % d for y in rest]
-            piv[i] = new
-            hit = settle(rest)
-    return settle([x % d for x in v] if d else list(v)) is None
+            piv[i] = _minus([s * z for z in p], -t, w, d)
+            rest = _minus([a // g * y for y in w], x // g, p, d)
+            hit = _settle(piv, rest, d)
+        for j in range(first, n):
+            p = piv[j]
+            for k in range(j if p else 0):
+                r = piv[k]
+                if r is not None and not 0 <= r[j] < p[j]:
+                    piv[k] = _minus(r, r[j] // p[j], p, d)
+    return tuple(p and tuple(p) for p in piv)
+
+
+def in_lattice(basis: tuple, v: Sequence[int], d: int = 0) -> bool:
+    """Whether v lies in the lattice of `basis` = `lattice_basis(A, d)`."""
+    if len(v) != len(basis):
+        raise ValueError(f"vector length {len(v)} != rows {len(basis)}")
+    return _settle(basis, [x % d for x in v] if d else list(v), d) is None
 
 
 def coset_normal_form(G, v: Sequence[int]) -> tuple:

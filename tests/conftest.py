@@ -12,7 +12,8 @@ import emb7
 import emb7.linking as lk
 from emb7 import jsonio, quat
 from emb7.classify import fiber_group
-from emb7.exact import IntMatrix, inverse_unimodular, smith_normal_form
+from emb7.exact import (IntMatrix, in_lattice, inverse_unimodular,
+                        lattice_basis, smith_normal_form)
 from emb7.manifolds import ManifoldData, builtin, validate
 from emb7.moves import Move
 
@@ -96,6 +97,13 @@ def k_relations(lam: IntMatrix, d: int) -> IntMatrix:
     return IntMatrix(
         [[2 * x for x in row] + [d if i == j else 0 for j in range(b1)]
          for i, row in enumerate(lam.data)], cols=lam.cols + b1)
+
+
+def lattice_member(A: IntMatrix, v, d: int = 0) -> bool:
+    """Whether v lies in the column span of A plus d*Z^n, n = A.rows: one
+    basis built for one vector, as `classify equal` decided it before the
+    basis was cached per fiber."""
+    return in_lattice(lattice_basis(A, d), v, d)
 
 
 def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:

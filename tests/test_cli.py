@@ -948,39 +948,47 @@ def class_json(u, L, beta) -> str:
 FIBER = ([2, 0], [[0, 0], [2, 0]])
 
 
+def counters(monkeypatch):
+    """The calls of each check and of the basis build, and a reset that
+    zeroes them and clears the fiber cache, so that a counted call starts
+    from a miss."""
+    import emb7.classify
+    import emb7.exact
+    import emb7.invariants
+    calls = {"is_kappa_admissible": 0, "is_symmetric_pair": 0,
+             "smith_normal_form": 0, "lattice_basis": 0}
+
+    def reset():
+        emb7.classify.fiber_basis.cache_clear()
+        for name in calls:
+            calls[name] = 0
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (emb7.classify, emb7.invariants, emb7.exact):
+        for name in calls:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return calls, reset
+
+
 class TestClassifyEqualChecksOnce:
     """A class2 over the same (u, L) as class1 is not checked again; any
     other class2 gets every check and message that class1 gets."""
-
-    def counters(self, monkeypatch):
-        import emb7.classify
-        import emb7.exact
-        import emb7.invariants
-        calls = {"is_kappa_admissible": 0, "is_symmetric_pair": 0,
-                 "smith_normal_form": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in (emb7.classify, emb7.invariants, emb7.exact):
-            for name in calls:
-                fn = getattr(module, name, None)
-                if fn is not None:
-                    monkeypatch.setattr(module, name, counting(name, fn))
-        return calls
 
     @pytest.mark.parametrize("u2, L2", [
         FIBER,
         ([2, "0"], [["0", " 0"], ["+2", "0_0"]]),
     ], ids=["same-json", "same-values"])
     def test_shared_fiber_is_checked_once(self, capsys, monkeypatch, u2, L2):
-        calls = self.counters(monkeypatch)
+        calls, reset = counters(monkeypatch)
         for beta2, equal in (([2, -4], True), ([1, 0], False)):
-            for name in calls:
-                calls[name] = 0
+            reset()
             code, payload = run_json(
                 capsys, "classify", "equal", "--manifold", "t2xs2",
                 "--class1", class_json(*FIBER, [0, 0]),
@@ -989,6 +997,7 @@ class TestClassifyEqualChecksOnce:
             assert calls["is_kappa_admissible"] == 1
             assert calls["is_symmetric_pair"] == 1
             assert calls["smith_normal_form"] == 0
+            assert calls["lattice_basis"] == 1
 
     @pytest.mark.parametrize("u2, L2, beta2, error", [
         ([1, 0], [[0, 0], [2, 0]], [0, 0],
@@ -1011,6 +1020,112 @@ class TestClassifyEqualChecksOnce:
             "--class2", class_json(u2, L2, beta2))
         assert code == 1 and err == ""
         assert json.loads(out) == {"error": error}
+
+
+# t2xs2 with the odd form diag(1, -1): the same shapes, and u = (2, 0) is
+# not admissible on it
+ODD_FORM = dict(to_json(builtin("t2xs2")), name="odd",
+                Q=[[1, 0], [0, -1]], w2=[1, 1])
+
+
+class TestFiberCache:
+    """`classify.fiber_basis` keeps the checked basis of the last
+    FIBER_CACHE_SIZE (manifold data, u, L) keys; a failed check raises on
+    every call and is never kept."""
+
+    EQUAL = ("classify", "equal", "--class1", class_json(*FIBER, [0, 0]),
+             "--class2", class_json(*FIBER, [2, -4]))
+
+    def test_repeat_runs_no_check(self, capsys, monkeypatch):
+        calls, reset = counters(monkeypatch)
+        reset()
+        first = run(capsys, *self.EQUAL, "--manifold", "t2xs2")
+        assert first == (0, first[1], "") and json.loads(first[1])["equal"]
+        assert calls == {"is_kappa_admissible": 1, "is_symmetric_pair": 1,
+                         "smith_normal_form": 0, "lattice_basis": 1}
+        for _ in range(2):
+            assert run(capsys, *self.EQUAL, "--manifold", "t2xs2") == first
+        assert calls == {"is_kappa_admissible": 1, "is_symmetric_pair": 1,
+                         "smith_normal_form": 0, "lattice_basis": 1}
+
+    def test_other_data_is_checked_again(self, capsys, monkeypatch, tmp_path):
+        calls, reset = counters(monkeypatch)
+        reset()
+        first = run(capsys, *self.EQUAL, "--manifold", "t2xs2")
+        # the same homology under another name is other data
+        path = write_manifold(tmp_path / "m.json",
+                              dict(to_json(builtin("t2xs2")), name="copy"))
+        assert run(capsys, *self.EQUAL, "--manifold", path) == first
+        assert calls["is_kappa_admissible"] == calls["lattice_basis"] == 2
+        # the file edited between calls
+        write_manifold(tmp_path / "m.json", ODD_FORM)
+        assert run_json(capsys, *self.EQUAL, "--manifold", path) == (
+            1, {"error": "kappa value (2, 0) is not admissible"})
+        assert calls["is_kappa_admissible"] == 3
+        assert run(capsys, *self.EQUAL, "--manifold", "t2xs2") == first
+        assert calls["is_kappa_admissible"] == 3
+
+    @pytest.mark.parametrize("u, L, error", [
+        ([1, 0], [[0, 0], [2, 0]], "kappa value (1, 0) is not admissible"),
+        ([2, 0], [[0, 0], [0, 0]], "(u, L) is not a symmetric pair"),
+    ], ids=["inadmissible", "not-symmetric"])
+    def test_failed_check_raises_on_every_call(self, capsys, monkeypatch, u,
+                                               L, error):
+        import emb7.classify
+        calls, reset = counters(monkeypatch)
+        reset()
+        for k in range(1, 4):
+            assert run(capsys, "classify", "equal", "--manifold", "t2xs2",
+                       "--class1", class_json(u, L, [0, 0]),
+                       "--class2", class_json(u, L, [0, 0])) == (
+                1, json.dumps({"error": error}) + "\n", "")
+            assert calls["is_kappa_admissible"] == k
+        assert calls["lattice_basis"] == 0
+        assert emb7.classify.fiber_basis.cache_info().currsize == 0
+
+    def test_size_is_the_constant(self):
+        from emb7 import classify
+        from emb7.exact import IntMatrix
+        size = classify.FIBER_CACHE_SIZE
+        assert classify.fiber_basis.cache_info().maxsize == size
+        classify.fiber_basis.cache_clear()
+        data = builtin("t2xs2")
+        for k in range(size + 8):  # (2, 0) with L^T - L as in FIBER
+            classify.embedding_class(data, (2, 0), IntMatrix([[k, 0], [2, 0]]))
+        assert classify.fiber_basis.cache_info().currsize == size
+
+
+class TestLargeFiber:
+    def test_b1_60_in_one_gigabyte(self, tmp_path):
+        # S^1 x S^3 summed 60 times: u = () and d = 0, so the membership
+        # runs over Z on a 60 x 60 2L
+        from emb7.exact import IntMatrix
+        from emb7.manifolds import ManifoldData
+        n, rng = 60, random.Random(60)
+        data = ManifoldData(b1=n, b2=0, b3=n, Q=IntMatrix.zeros(0, 0),
+                            P=IntMatrix.identity(n), T=(), w2=(), sigma=0,
+                            name="s1xs3-60")
+        path = write_manifold(tmp_path / "m.json", to_json(data))
+        L = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                L[i][j] = L[j][i] = rng.randint(-3, 3)
+        beta = [rng.randint(-5, 5) for _ in range(n)]
+        other = list(beta)
+        for j in range(n):
+            c = rng.randint(-2, 2)
+            for i in range(n):
+                other[i] += 2 * L[i][j] * c
+        start = time.perf_counter()
+        proc = memory_capped_python(
+            "-m", "emb7.cli", "classify", "equal", "--manifold", path,
+            "--class1", class_json([], L, beta),
+            "--class2", class_json([], L, other))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["equal"] is True
+        assert elapsed < 1.0
 
 
 class TestUnvalidatedDataIsRefused:
@@ -1189,7 +1304,11 @@ def memo_script(tmp_path, seed: int) -> list:
 
 class TestMemoIsInvisible:
     def outcomes(self, capsys, steps, clear: bool) -> list:
+        # `clear` empties the manifold memo and the fiber cache before
+        # every call
+        from emb7 import classify
         cli._decode_manifold.cache_clear()
+        classify.fiber_basis.cache_clear()
         out = []
         for step in steps:
             if step[0] == "write":
@@ -1198,6 +1317,7 @@ class TestMemoIsInvisible:
                 continue
             if clear:
                 cli._decode_manifold.cache_clear()
+                classify.fiber_basis.cache_clear()
             out.append(run(capsys, *step[1]))
         return out
 

@@ -1,14 +1,16 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cokernel, k_relations, random_matrix,
-                      random_symmetric, random_unimodular)
+from conftest import (cokernel, k_relations, lattice_member, random_matrix,
+                      random_symmetric, random_unimodular, scaled)
 from emb7.exact import (IntMatrix, coset_normal_form, det_signature,
-                        inverse_unimodular, lattice_member,
+                        in_lattice, inverse_unimodular, lattice_basis,
                         smith_normal_form, vector_gcd)
 
 small_matrices = st.integers(0, 5).flatmap(
@@ -234,31 +236,81 @@ class TestCosetNormalForm:
                 assert coset_normal_form(G, shifted) == nf
 
 
+def assert_hermite(basis: tuple, d: int) -> None:
+    """Entry i of a `lattice_basis` is None (over Z only) or has its first
+    nonzero entry, positive and dividing d, at i; every earlier basis
+    vector's entry in column i lies in [0, that pivot), and over Z/d every
+    entry after the pivot lies in [0, d)."""
+    for i, p in enumerate(basis):
+        if p is None:
+            assert d == 0
+            continue
+        assert not any(p[:i]) and p[i] > 0 and (d == 0 or d % p[i] == 0)
+        assert d == 0 or all(0 <= x < d for x in p[i + 1:])
+        assert all(0 <= q[i] < p[i] for q in basis[:i] if q is not None)
+
+
 class TestLatticeMember:
-    """`lattice_member(2L, P beta, d)` against the canonical coset form of
-    beta in the reference cokernel of [2 Lambda | d I], Lambda = P^-1 L:
-    beta lies in 2 Lambda Z^b3 + d Z^b1 exactly when its coset form is
-    that of 0."""
+    """`in_lattice(lattice_basis(2L, d), P beta, d)` against the canonical
+    coset form of beta in the reference cokernel of [2 Lambda | d I],
+    Lambda = P^-1 L: beta lies in 2 Lambda Z^b3 + d Z^b1 exactly when its
+    coset form is that of 0."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6),
            st.sampled_from((0, 0, 1, 2, 4, 6, 8, 9, 12, 30, 36)),
-           st.booleans(), st.randoms(use_true_random=False))
-    def test_matches_coset_normal_form(self, b1, b3, d, member, rnd):
+           st.randoms(use_true_random=False))
+    def test_matches_coset_normal_form(self, b1, b3, d, rnd):
         P = random_unimodular(rnd, b1)
         lam = random_matrix(rnd, b1, b3, bound=rnd.choice((2, 9)))
         L = P @ lam
         G = cokernel(b1, k_relations(lam, d))
         twice = IntMatrix([[2 * x for x in row] for row in L.data], cols=b3)
-        if member:
-            c = [rnd.randint(-4, 4) for _ in range(b3)]
-            beta = [2 * x + d * rnd.randint(-3, 3) for x in lam.apply(c)]
-        else:
-            beta = [rnd.randint(-12, 12) for _ in range(b1)]
-        got = lattice_member(twice, P.apply(beta), d)
+        basis = lattice_basis(twice, d)
+        assert_hermite(basis, d)
+        # the basis depends on the lattice alone, not on the column order
+        shuffled = list(zip(*twice.data))
+        rnd.shuffle(shuffled)
+        assert lattice_basis(IntMatrix(zip(*shuffled), cols=b3)
+                             if b3 else twice, d) == basis
         zero = coset_normal_form(G, (0,) * b1)
-        assert got == (coset_normal_form(G, beta) == zero), (L, P, d, beta)
-        assert got or not member
+        for member in (True, False, True, False):
+            if member:
+                c = [rnd.randint(-4, 4) for _ in range(b3)]
+                beta = [2 * x + d * rnd.randint(-3, 3) for x in lam.apply(c)]
+            else:
+                beta = [rnd.randint(-12, 12) for _ in range(b1)]
+            got = in_lattice(basis, P.apply(beta), d)
+            assert got == (coset_normal_form(G, beta) == zero), (L, P, d, beta)
+            assert got or not member
+
+    @pytest.mark.parametrize("n, rank", [(40, 40), (40, 30), (60, 60),
+                                         (60, 45)])
+    def test_large_over_z_stays_bounded(self, n, rank):
+        # 2L = 2 A or 2 A B of rank `rank`; over Z the echelon without
+        # the Hermite step took from 0.19 s (40, 30) to over 600 s (60, 45)
+        rng = random.Random(1000 * n + rank)
+        M = random_matrix(rng, n, rank, bound=3)
+        if rank < n:
+            M = M @ random_matrix(rng, rank, n, bound=3)
+        twice = scaled(M, 2)
+        cs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(8)]
+        start = time.perf_counter()
+        basis = lattice_basis(twice, 0)
+        members = [in_lattice(basis, twice.apply(c), 0) for c in cs]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1 and all(members)
+        assert_hermite(basis, 0)
+        assert sum(p is not None for p in basis) == rank
+        # the lattice lies in 2 Z^n: an odd entry is outside it
+        odd = list(twice.apply(cs[0]))
+        odd[rng.randrange(n)] += 1
+        assert not in_lattice(basis, odd, 0)
+        if rank == n:
+            # 2L Z^n holds |det 2L| Z^n, so the Howell basis mod |det 2L|
+            # is the same Hermite basis
+            det = abs(twice.det())
+            assert det and lattice_basis(twice, det) == basis
 
     def test_howell_step(self):
         # 2L = (4, 2)^T mod 8 meets the pivot 8 e_1, keeps (4, 2) as the

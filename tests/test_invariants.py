@@ -9,10 +9,11 @@ import pytest
 import emb7.invariants
 from conftest import (base_lambda, basis_change, cokernel, direct_sum,
                       free_h1_manifold, is_valid, k_relations,
-                      lambda_adjoint, random_form_manifold, random_matrix,
-                      random_symmetric, random_unimodular, scaled, to_json)
+                      lambda_adjoint, lattice_member, random_form_manifold,
+                      random_matrix, random_symmetric, random_unimodular,
+                      scaled, to_json)
 from emb7.classify import classes_equal, embedding_class
-from emb7.exact import IntMatrix, coset_normal_form, lattice_member
+from emb7.exact import IntMatrix, coset_normal_form
 from emb7.manifolds import BUILTIN_NAMES, ManifoldData, builtin
 from emb7.invariants import (compression_obstruction, divisibility,
                              enumerate_kappa, is_kappa_admissible,

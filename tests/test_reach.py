@@ -36,9 +36,6 @@ UNREACHED = {
     "emb7.exact.IntMatrix.__add__": "test fixtures add slices with it",
     "emb7.exact.IntMatrix.tolists": "only __repr__ and the tests call it",
     "emb7.exact.IntMatrix.__repr__": "shows a matrix in a failing assertion",
-    "emb7.exact.IntMatrix.__hash__":
-        "keeps the immutable matrix hashable beside its __eq__; no command "
-        "hashes one",
     "emb7.exact.IntMatrix.__setattr__":
         "the immutability guard; no command assigns to a matrix",
 }
