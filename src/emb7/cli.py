@@ -8,22 +8,16 @@ exhausted, a result too large to print or a fiber too large to list), or
 the EMB7_ENUM_CAP environment variable overrides the enumeration guard
 and nothing else is read from the environment.
 
-One table, `COMMANDS`, holds each command's handler and its arguments,
-drawn from a few argument kinds.  `fast_parse` reads a well-formed argv
-straight from it; only help, usage and errors import argparse and build a
-parser, which holds just the command that argv names and is the only
-source of their text.
+One table, `COMMANDS`, holds each command's handler, its help and its
+arguments, drawn from a few argument kinds.  `parse` reads argv from it,
+and help, usage lines and error messages are written from it too.
 
 A call pays only for its own command: each handler imports only the emb7
 modules it runs, and `import emb7` re-exports nothing.  Each input is
 decoded once, one pass per array.  A manifold file is read on every call
 but decoded and validated only when its text is not the last valid one,
 and `classify equal` checks a fiber only when `classify.fiber_basis` does
-not hold it: in process on the benchmark's manifolds, `classify equal`
-takes 0.055 ms (0.127 ms checking its fiber on every call) and `fiber
---enumerate` 0.07 ms (0.14 ms decoding and validating its file on every
-call).  Cold, these and `k-group` take 25-27 ms, against 20 ms for
-`python -c "import json"` (README).
+not hold it.  The README gives the cost of each, in process and cold.
 """
 
 from __future__ import annotations
@@ -85,17 +79,11 @@ def _json_loads(text: str):
         return json.loads(text, parse_int=jsonio.decode_int)
 
 
-def _type_error(message: str) -> Exception:
-    """The error a `type` raises: argparse loads only on the way to one."""
-    import argparse
-    return argparse.ArgumentTypeError(message)
-
-
 def _parse_json_arg(text: str):
     try:
         return _json_loads(text)
     except json.JSONDecodeError as exc:
-        raise _type_error(f"not valid JSON: {exc}")
+        raise ValueError(f"not valid JSON: {exc}")
 
 
 def _vector(text: str) -> tuple:
@@ -112,35 +100,31 @@ def _move(text: str):
     from . import moves
     parts = text.split(",")
     if len(parts) < 2:
-        raise _type_error(
+        raise ValueError(
             "move format is s_1,...,s_b1,l,b (comma separated integers)")
     try:
         nums = [int(p, 10) for p in parts]
     except ValueError:
-        raise _type_error("move entries must be integers")
+        raise ValueError("move entries must be integers")
     return moves.Move(s=tuple(nums[:-2]), l=nums[-2], b=nums[-1])
 
 
 def _class_arg(text: str) -> dict:
     obj = _parse_json_arg(text)
     if not isinstance(obj, dict) or "u" not in obj or "L" not in obj:
-        raise _type_error(
+        raise ValueError(
             'embedding class must be a JSON object with "u" and "L"')
     return obj
 
 
-def _bounded_int(low: int, high=None):
-    def parse(text: str) -> int:
-        try:
-            value = int(text, 10)
-        except ValueError:
-            raise _type_error(f"not an integer: {text!r}")
-        if value < low or (high is not None and value > high):
-            span = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise _type_error(f"{value} is not {span}")
+def _bounded_int(low: int, high: int):
+    def bounded(text: str) -> int:
+        value = int(text, 10)
+        if not low <= value <= high:
+            raise ValueError(f"{value} is not in [{low}, {high}]")
         return value
 
-    return parse
+    return bounded
 
 
 def _class_payload(data, obj: dict):
@@ -327,11 +311,6 @@ def _cmd_snf(args):
 
 # --- the command table -----------------------------------------------------
 
-# Each kind of argument once, as a flag and the keywords of its add_argument
-# call; a kind that several flags share is a function of the flag and of the
-# keywords that differ.
-
-
 # Most integers (classes times b1) `fiber --enumerate` lists: the largest
 # listing, at b1 = 1, peaks at about 140 MB.
 MAX_LISTED = 500_000
@@ -341,18 +320,22 @@ def _kind(**keywords):
     return lambda flag, **kw: (flag, {**keywords, **kw})
 
 
-def _bounded(flag, low, high=None, **kw):
+def _bounded(flag, low, high, **kw):
     return flag, {"type": _bounded_int(low, high), **kw}
 
 
-_FILE = ("file", {})
+# Each kind of argument once, as its flag (or a positional's name) and its
+# keywords; a kind that several flags share is a function of the flag.
+# `type` decodes the value word (kept as is without one), `dest` names it in
+# the namespace (the flag without dashes), a store_true `action` takes no
+# value.  An argument with a `default` is optional, every other required.
 _MANIFOLD = ("--manifold", {
-    "required": True, "help": "builtin name or path to a manifold JSON file"})
-_MOVE = ("--move", {"type": _move, "required": True,
+    "help": "builtin name or path to a manifold JSON file"})
+_MOVE = ("--move", {"type": _move,
                     "help": "comma separated s_1,...,s_b1,l,b"})
-_VECTOR = _kind(type=_vector, required=True)
-_MATRIX = _kind(type=_matrix, required=True)
-_CLASS = _kind(type=_class_arg, required=True)
+_VECTOR = _kind(type=_vector)
+_MATRIX = _kind(type=_matrix)
+_CLASS = _kind(type=_class_arg)
 _INT = _kind(type=int)
 _U, _L = _VECTOR("--u"), _MATRIX("--L")
 _TAU = (_INT("l"), _INT("b"))
@@ -362,11 +345,12 @@ _TAU_PAIR = _TAU + (_INT("lp"), _INT("bp"))
 # its arguments.  A group gives its operations, in the same form, in place of
 # the handler, and no arguments.
 COMMANDS = (
-    ("validate", "validate manifold data JSON", _cmd_validate, (_FILE,)),
+    ("validate", "validate manifold data JSON", _cmd_validate,
+     (("file", {}),)),
     ("kappa-check", "test admissibility of a kappa value", _cmd_kappa_check,
      (_MANIFOLD, _U)),
     ("kappa-enum", "enumerate admissible kappa values in a box",
-     _cmd_kappa_enum, (_MANIFOLD, _INT("--bound", required=True))),
+     _cmd_kappa_enum, (_MANIFOLD, _INT("--bound"))),
     ("sym-check", "test the u-symmetry of a lambda form", _cmd_sym_check,
      (_MANIFOLD, _U, _L)),
     ("k-group", "beta value group of a (u, L) fiber", _cmd_k_group,
@@ -394,17 +378,16 @@ COMMANDS = (
          (_MANIFOLD, _CLASS("--class1"), _CLASS("--class2"))),), ()),
     ("fiber", "fiber group and classes over (u, L)", _cmd_fiber, (
         _MANIFOLD,
-        _VECTOR("--u", required=False, default=None,
+        _VECTOR("--u", default=None,
                 help="kappa value (defaults to the zero vector)"),
         _L,
-        ("--enumerate", {"action": "store_true"}),
+        ("--enumerate", {"action": "store_true", "default": False}),
         _bounded("--cap", 0, MAX_LISTED, default=None))),
     ("link", "numerical linking numbers", (
         ("tau", "verify the fiber linking of tau(l, b)", _cmd_link_tau, (
-            _bounded("--l", -1000, 1000, required=True),
-            _INT("--b", required=True,
-                 help="the b of the class tau(l, b); it does not change "
-                      "what is computed, because the fibers see only x^l"),
+            _bounded("--l", -1000, 1000),
+            _INT("--b", help="the b of the class tau(l, b); it does not "
+                 "change what is computed, because the fibers see only x^l"),
             _bounded("--resolution", 1, MAX_RESOLUTION,
                      default=DEFAULT_RESOLUTION,
                      help=f"quadrature resolution, at most {MAX_RESOLUTION}; "
@@ -414,97 +397,111 @@ COMMANDS = (
 )
 
 
-def _add_commands(sub, commands) -> None:
-    for name, text, handler, arguments in commands:
-        p = (sub.add_parser(name) if text is None
-             else sub.add_parser(name, help=text))
-        if callable(handler):
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(handler=handler)
-        else:
-            _add_commands(p.add_subparsers(dest="op", required=True), handler)
+# The root of the table, as `_node` walks it, with COMMANDS as its handler.
+_ROOT = (None, "classification calculus for embeddings of 4-manifolds in "
+         "7-space modulo knots", COMMANDS, ())
+# A word that starts with "-" and is no value: all but "-" alone and a
+# negative number (the number pattern matches "-7\n" and "-\u0663" too).
+_FLAG = re.compile(r'-(?!$|\d+$|\d*\.\d+$)')
 
 
-# argparse's test for a word that starts with "-" and is still a value
-_NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$')
+class UsageError(Exception):
+    """An argv that `parse` refuses: its args are the command path read so
+    far and the message, None for -h or --help, which ask for help."""
 
 
-def fast_parse(argv):
-    """The namespace `build_parser(argv).parse_args(argv)` gives, read from
-    `COMMANDS` without argparse, when argv is well-formed: a command, its
-    operation if it is a group, its own flags each spelled out once with
-    one value (a store_true flag with none), then its positionals in order,
-    and a value starts with "-" only as a negative number.  Values go
-    through their `type` and absent arguments get their default, as
-    `add_argument` does for the keywords the table uses.  Any other argv,
-    or an exception from a `type`, gives None, and the parser decides."""
-    ns, commands, words = {}, COMMANDS, iter(argv)
-    for dest in ("command", "op"):
-        word = next(words, None)
-        entry = next((c for c in commands if c[0] == word), None)
-        if entry is None:
-            return None
-        ns[dest] = word
-        _, _, handler, arguments = entry
-        if callable(handler):
-            break
-        commands = handler
-    else:
-        return None
-    flags = {a: kw for a, kw in arguments if a.startswith("-")}
-    positionals = [a for a, _ in arguments if a not in flags]
-    given = {}
+def parse(argv):
+    """The namespace of the command that argv names, read from `COMMANDS`:
+    a command, its operation if it is a group, then the leaf's flags and
+    positionals in any order, each flag spelled out once with one value
+    (none if store_true), the positionals in table order.  A value starts
+    with "-" only as "-" or a negative number; it goes through its `type`
+    as it is read, and an absent argument gets its default.  Any other
+    argv raises UsageError, `--flag=value`, an abbreviated flag and `--`
+    among them.  An unknown or repeated flag, an extra word or a missing
+    argument is reported after the last word, so a later -h still asks
+    for help."""
+    path, extras, given, words = [], [], {}, iter(argv)
+    _, _, handler, arguments = _ROOT
+    flags, positionals = {}, []
     for word in words:
         if word in flags and word not in given:
-            if flags[word].get("action") == "store_true":
-                given[word] = True
+            name, keywords = word, flags[word]
+            if keywords.get("action") == "store_true":
+                given[name] = True
                 continue
-            # a flag that ends argv reads "-", which is no value
-            name, word = word, next(words, "-")
-        elif positionals and word not in flags:
-            name = positionals.pop(0)
-        else:
-            return None
-        if word.startswith("-") and not _NEGATIVE_NUMBER.match(word):
-            return None
-        given[name] = word
+            word = next(words, "--")  # a flag that ends argv has no value
+            if _FLAG.match(word):
+                raise UsageError(path, f"argument {name}: expected one "
+                                       "argument")
+        elif word in ("-h", "--help"):
+            raise UsageError(path, None)
+        elif _FLAG.match(word) or callable(handler) and not positionals:
+            extras.append(word)
+            continue
+        elif callable(handler):
+            name, keywords = positionals.pop(0)
+        else:  # the command, or the operation of a group
+            entry = next((c for c in handler if c[0] == word), None)
+            if entry is None:
+                dest = "op" if path else "command"
+                raise UsageError(path, f"argument {dest}: invalid choice: "
+                                       f"{word!r}")
+            path.append(word)
+            _, _, handler, arguments = entry
+            flags = {a: kw for a, kw in arguments if a.startswith("-")}
+            positionals = [a for a in arguments if a[0] not in flags]
+            continue
+        try:
+            given[name] = keywords.get("type", str)(word)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(path, f"argument {name}: {exc}") from None
+    if extras:
+        raise UsageError(path, "unrecognized arguments: "
+                               + " ".join(map(repr, extras)))
+    if not callable(handler):  # argv ended before the command or operation
+        raise UsageError(path, "the following arguments are required: "
+                               + ("op" if path else "command"))
+    if missing := [a for a, kw in arguments
+                   if a not in given and "default" not in kw]:
+        raise UsageError(path, "the following arguments are required: "
+                               + ", ".join(missing))
+    ns = dict(zip(("command", "op"), path), handler=handler)
     for name, keywords in arguments:
-        kind = keywords.get("type")
-        if name in given:
-            value = given[name]
-            if kind is not None:
-                try:
-                    value = kind(value)
-                except Exception:  # the parser reports it, or raises it
-                    return None
-        elif keywords.get("required") or name not in flags:
-            return None
-        else:
-            store_true = keywords.get("action") == "store_true"
-            value = keywords.get("default", False if store_true else None)
-        ns[keywords.get("dest", name.lstrip("-"))] = value
-    ns["handler"] = handler
+        ns[keywords.get("dest", name.lstrip("-"))] = given.get(
+            name, keywords.get("default"))
     return types.SimpleNamespace(**ns)
 
 
-def build_parser(argv=None):
-    """The parser for `argv`.  When argv[0] names a command, only that
-    command is added; otherwise (no argv, -h, an unknown command) all are.
-    For any argv both parsers give the same result and the same output."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="emb7",
-        description="Classification calculus for embeddings of 4-manifolds "
-                    "in 7-space modulo knots")
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
-    if named:
-        # usage lines list every command, as the full parser's do; the full
-        # parser keeps no metavar, which would rename the action in errors
-        sub.metavar = "{" + ",".join(c[0] for c in COMMANDS) + "}"
-    _add_commands(sub, named or COMMANDS)
-    return parser
+def _node(path):
+    """The table entry that `path` names; `_ROOT` for no path."""
+    node = _ROOT
+    for word in path:
+        node = next(c for c in node[2] if c[0] == word)
+    return node
+
+
+def _usage_word(name: str, keywords: dict) -> str:
+    if name.startswith("-") and keywords.get("action") != "store_true":
+        name += " " + name.lstrip("-").upper()
+    return f"[{name}]" if "default" in keywords else name
+
+
+def _usage(path) -> str:
+    _, _, handler, arguments = _node(path)
+    words = ([_usage_word(*a) for a in arguments] if callable(handler)
+             else ["{" + ",".join(c[0] for c in handler) + "}", "..."])
+    return " ".join(["usage: emb7", *path, "[-h]", *words])
+
+
+def _help(path) -> str:
+    """The usage line, the help of `path` and a line per entry under it."""
+    _, text, handler, arguments = _node(path)
+    rows = ([(name, kw.get("help")) for name, kw in arguments]
+            if callable(handler) else [c[:2] for c in handler])
+    lines = [_usage(path), text or ""]
+    lines += [f"  {name:<16} {doc or ''}".rstrip() for name, doc in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(payload) -> None:
@@ -512,14 +509,16 @@ def _emit(payload) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = fast_parse(argv)
-    if args is None:
-        try:
-            args = build_parser(argv).parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    try:
+        args = parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        path, message = exc.args
+        if message is None:
+            sys.stdout.write(_help(path))
+            return 0
+        prog = " ".join(["emb7", *path])
+        sys.stderr.write(f"{_usage(path)}\n{prog}: error: {message}\n")
+        return 2
     try:
         payload, code = args.handler(args)
     except DomainError as exc:

@@ -1,4 +1,4 @@
-import argparse
+import ast
 import json
 import os
 import random
@@ -9,14 +9,16 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emb7
 from conftest import fresh_python, to_json
 from emb7 import cli
-from emb7.cli import COMMANDS, build_parser, main
+from emb7.cli import COMMANDS, main
+from emb7.exact import IntMatrix
 from emb7.manifolds import builtin
+from emb7.moves import Move
 
 
 def run(capsys, *argv):
@@ -30,52 +32,68 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+# The exit-1 and exit-2 halves of the contract, each on (code, out, err).
+def failure(code, out, err) -> dict:
+    """The payload of a domain failure: exit 1, one JSON object on stdout
+    and nothing on stderr."""
+    assert (code, err, out.count("\n")) == (1, "", 1)
+    return json.loads(out)
+
+
+def unreadable(code, out, err) -> str:
+    """The stderr of an input that cannot be read: exit 2, nothing on
+    stdout and one `emb7: ` line on stderr, never a traceback."""
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("emb7: ")
+    return err
+
+
+def usage_error(code, out, err) -> tuple:
+    """The usage line and the message of a usage error: exit 2, nothing on
+    stdout, and on stderr the usage line of the command path read, then one
+    error line."""
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    prog = usage[len("usage: "):usage.index(" [-h]")]
+    assert usage.startswith("usage: emb7 ")
+    assert error.startswith(prog + ": error: ")
+    return usage, error[len(prog + ": error: "):]
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "validate", "missing.json")
-        assert code == 2
-        assert out == ""
-        assert "missing.json" in err
+        assert "missing.json" in unreadable(*run(capsys, "validate",
+                                                  "missing.json"))
 
     @pytest.mark.parametrize("command", [
         ("validate",),
         ("k-group", "--u", "[]", "--L", "[[3]]", "--manifold"),
     ])
     def test_directory_is_usage_error(self, capsys, tmp_path, command):
-        code, out, err = run(capsys, *command, str(tmp_path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("emb7: ") and str(tmp_path) in err
-        assert "Traceback" not in err
+        assert str(tmp_path) in unreadable(*run(capsys, *command,
+                                                str(tmp_path)))
 
     def test_enum_cap_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("EMB7_ENUM_CAP", "abc")
-        code, out, err = run(capsys, "kappa-enum", "--manifold", "s2xs2",
-                             "--bound", "1")
-        assert code == 1 and err == ""
-        assert "EMB7_ENUM_CAP" in json.loads(out)["error"]
+        payload = failure(*run(capsys, "kappa-enum", "--manifold", "s2xs2",
+                               "--bound", "1"))
+        assert "EMB7_ENUM_CAP" in payload["error"]
 
     def test_result_too_large_to_print(self, capsys):
         nines = "9" * 2500
-        code, out, err = run(
+        message = failure(*run(
             capsys, "move", "apply", "--manifold", "t2xs2",
             "--class", '{"u":[0,0],"L":[[0,0],[0,0]],"beta":[0,0]}',
-            "--move", f"{nines},0,{nines},1")
-        assert code == 1 and err == ""
-        assert out.count("\n") == 1
-        message = json.loads(out)["error"]
+            "--move", f"{nines},0,{nines},1"))["error"]
         assert message.startswith("result is too large to print")
         assert "set_int_max_str_digits" not in message
 
     def test_integer_string_too_long(self, capsys):
         nines = "9" * 5000
-        code, out, err = run(
+        assert failure(*run(
             capsys, "classify", "equal", "--manifold", "s1xs3",
             "--class1", '{"u":[],"L":[["3"]],"beta":["%s"]}' % nines,
-            "--class2", '{"u":[],"L":[["3"]],"beta":["1"]}')
-        assert code == 1 and err == ""
-        assert out.count("\n") == 1
-        assert json.loads(out)["error"] == (
+            "--class2", '{"u":[],"L":[["3"]],"beta":["1"]}'))["error"] == (
             "integer too long: 5000 digits, more than the limit of "
             f"{sys.get_int_max_str_digits()}")
 
@@ -84,11 +102,8 @@ class TestExitCodes:
         assert '"sigma": "0"' in text
         path = tmp_path / "long.json"
         path.write_text(text.replace('"sigma": "0"', '"sigma": ' + "9" * 5000))
-        code, out, err = run(capsys, "k-group", "--manifold", str(path),
-                             "--u", "[]", "--L", "[[3]]")
-        assert code == 1 and err == ""
-        assert out.count("\n") == 1
-        assert json.loads(out)["error"] == (
+        assert failure(*run(capsys, "k-group", "--manifold", str(path),
+                            "--u", "[]", "--L", "[[3]]"))["error"] == (
             "integer too long: 5000 digits, more than the limit of "
             f"{sys.get_int_max_str_digits()}")
 
@@ -99,10 +114,8 @@ class TestExitCodes:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_domain_failure_is_exit_one(self, capsys):
-        code, payload = run_json(capsys, "kappa-check", "--manifold", "cp2",
-                                 "--u", "[1, 2]")
-        assert code == 1
-        assert "error" in payload
+        assert "error" in failure(*run(capsys, "kappa-check", "--manifold",
+                                       "cp2", "--u", "[1, 2]"))
 
     @pytest.mark.parametrize("argv, error", [
         (["reghom", "--L0", "[[1],[2]]", "--L1", "[[1],[2]]"],
@@ -113,32 +126,23 @@ class TestExitCodes:
          "L has shape (2, 1), expected square"),
     ])
     def test_non_square_form_is_domain_failure(self, capsys, argv, error):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and err == ""
-        assert json.loads(out) == {"error": error}
+        assert failure(*run(capsys, *argv)) == {"error": error}
 
     def test_invalid_manifold_file(self, capsys, tmp_path):
         bad = to_json(builtin("s2xs2"))
         bad["sigma"] = "1"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
-        code, payload = run_json(capsys, "validate", str(path))
-        assert code == 1
-        assert payload["valid"] is False
-        assert payload["violations"]
-
+        payload = failure(*run(capsys, "validate", str(path)))
+        assert payload["valid"] is False and payload["violations"]
 
     def test_manifold_missing_fields(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text('{"b1": 1, "b2": 0}')
-        code, out, err = run(capsys, "validate", str(path))
-        assert code == 1 and "Traceback" not in err
-        payload = json.loads(out)
-        assert payload["valid"] is False
-        assert "Q" in payload["violations"][0]
-        code, payload = run_json(capsys, "fiber", "--manifold", str(path),
-                                 "--L", "[[0]]")
-        assert code == 1 and "error" in payload
+        payload = failure(*run(capsys, "validate", str(path)))
+        assert payload["valid"] is False and "Q" in payload["violations"][0]
+        assert "error" in failure(*run(capsys, "fiber", "--manifold",
+                                       str(path), "--L", "[[0]]"))
 
     def test_class_not_an_object_is_usage_error(self, capsys):
         for argv in (("move", "apply", "--manifold", "s1xs3",
@@ -149,19 +153,16 @@ class TestExitCodes:
                      ("classify", "equal", "--manifold", "s1xs3",
                       "--class1", '{"u": []}',
                       "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}')):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "" and "usage:" in err
+            usage_error(*run(capsys, *argv))
 
     def test_negative_cap_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "fiber", "--manifold", "s1xs3",
-                             "--L", "[[0]]", "--enumerate", "--cap", "-1")
-        assert code == 2 and out == "" and "usage:" in err
+        usage_error(*run(capsys, "fiber", "--manifold", "s1xs3",
+                         "--L", "[[0]]", "--enumerate", "--cap", "-1"))
 
     def test_cap_above_listing_limit_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "fiber", "--manifold", "s1xs3",
-                             "--L", "[[0]]", "--enumerate",
-                             "--cap", str(cli.MAX_LISTED + 1))
-        assert code == 2 and out == "" and "usage:" in err
+        usage_error(*run(capsys, "fiber", "--manifold", "s1xs3", "--L",
+                         "[[0]]", "--enumerate",
+                         "--cap", str(cli.MAX_LISTED + 1)))
 
     @pytest.mark.parametrize("argv, size", [
         (["--u", "[2000,0]", "--L", "[[0,0],[2000,0]]"], "4000000"),
@@ -170,24 +171,21 @@ class TestExitCodes:
     def test_listing_too_large_is_domain_failure(self, capsys, argv, size):
         # more than MAX_LISTED integers (classes x b1) to list: refused
         # before any class is built, with the size and the way out
-        code, payload = run_json(capsys, "fiber", "--manifold", "t2xs2",
-                                 "--enumerate", *argv)
-        assert code == 1
+        payload = failure(*run(capsys, "fiber", "--manifold", "t2xs2",
+                               "--enumerate", *argv))
         assert f"fiber of size {size} " in payload["error"]
         assert "--cap of at most 250000" in payload["error"]
 
     def test_resolution_out_of_range_is_usage_error(self, capsys):
         for res in ("0", "33", "1000000"):
-            code, out, err = run(capsys, "link", "tau", "--l", "1",
-                                 "--b", "0", "--resolution", res)
-            assert code == 2 and out == "" and "usage:" in err
+            usage_error(*run(capsys, "link", "tau", "--l", "1",
+                             "--b", "0", "--resolution", res))
 
     def test_unconverged_link_is_exit_one(self, capsys):
         # resolution 5 rounds tau(4, 0) to 3 with residual 0.22: the check
         # fails, and the payload still reports what was measured
-        code, payload = run_json(capsys, "link", "tau", "--l", "4",
-                                 "--b", "0", "--resolution", "5")
-        assert code == 1
+        payload = failure(*run(capsys, "link", "tau", "--l", "4",
+                               "--b", "0", "--resolution", "5"))
         assert payload["pass"] is False
         assert set(payload) == {"estimate", "value", "residual", "pass"}
 
@@ -198,27 +196,20 @@ class TestExitCodes:
             raise MemoryError
 
         monkeypatch.setattr(emb7.exact, "smith_normal_form", exhausted)
-        code, out, err = run(capsys, "snf", "--matrix", "[[1]]")
-        assert code == 1 and "Traceback" not in err
-        assert "error" in json.loads(out)
+        assert "error" in failure(*run(capsys, "snf", "--matrix", "[[1]]"))
 
     def test_removed_link_flags_are_usage_errors(self, capsys):
         for flag in (("--backend", "python"), ("--json",)):
-            code, out, err = run(capsys, "link", "tau", "--l", "1",
-                                 "--b", "0", "--resolution", "3", *flag)
-            assert code == 2 and out == "" and "usage:" in err
+            usage_error(*run(capsys, "link", "tau", "--l", "1",
+                             "--b", "0", "--resolution", "3", *flag))
 
     def test_l_out_of_range_is_usage_error(self, capsys):
         for l in ("1001", "-1001"):
-            code, out, err = run(capsys, "link", "tau", "--l", l, "--b", "0")
-            assert code == 2 and out == "" and "usage:" in err
+            usage_error(*run(capsys, "link", "tau", "--l", l, "--b", "0"))
 
     def test_l_at_bound_ends_in_json(self, capsys):
-        code, out, err = run(capsys, "link", "tau", "--l", "-1000",
-                             "--b", "0", "--resolution", "1")
-        assert code == 1 and err == ""
-        assert out.count("\n") == 1
-        assert json.loads(out)["pass"] is False
+        assert failure(*run(capsys, "link", "tau", "--l", "-1000",
+                            "--b", "0", "--resolution", "1"))["pass"] is False
 
 
 def memory_capped_python(*args, limit=1 << 30) -> subprocess.CompletedProcess:
@@ -484,6 +475,10 @@ def table_leaves(commands=COMMANDS, prefix=()):
 SAMPLES = {None: "cp2", cli._vector: "[1]", cli._matrix: "[[1]]",
            cli._class_arg: '{"u": [], "L": [["0"]]}', cli._move: "1,0,5",
            int: "3"}
+# What each sample word decodes to.
+DECODED = {"cp2": "cp2", "[1]": (1,), "[[1]]": IntMatrix.from_rows(((1,),)),
+           '{"u": [], "L": [["0"]]}': {"u": [], "L": [["0"]]},
+           "1,0,5": Move(s=(1,), l=0, b=5), "3": 3, "2": 2}
 
 
 def sample(keywords):
@@ -504,54 +499,35 @@ def table_argv(path, arguments):
     return argv
 
 
-def parse_outcome(capsys, parser, argv):
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-        raise SystemExit("parsed")
-    out = capsys.readouterr()
-    return exc.value.code, out.out, out.err
-
-
-def commands_of(parser):
-    sub, = (a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
-
-
 class TestParserPerCommand:
-    """`build_parser(argv)` adds only the command argv names; for every
-    argv it must answer exactly as the parser with every command does."""
+    """`cli.parse` reads each command from the table, and help, usage and
+    errors for every command path come from the same table."""
 
     def test_table_covers_every_leaf(self):
         leaves = {p for p in command_paths() if p in PARSE_ARGV}
         assert leaves == set(PARSE_ARGV)
 
     @pytest.mark.parametrize("path", list(command_paths()), ids=" ".join)
-    def test_same_output_as_full_parser(self, capsys, monkeypatch, path):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_same_output_as_full_parser(self, capsys, path):
+        # -h prints the usage line that every error of the path prints
+        code, out, err = run(capsys, *path, "-h")
+        assert code == 0 and err == ""
+        usage = out.splitlines()[0]
+        assert usage.startswith(" ".join(("usage: emb7", *path, "[-h]")))
         complete = list(path) + PARSE_ARGV.get(path, [])
-        cases = [list(path) + ["-h"],          # help
-                 complete + ["--frob"],        # an unrecognised argument
-                 list(path)]                   # a required argument missing
-        for argv in cases:
-            one = build_parser(argv)
-            assert commands_of(one) == [path[0]]
-            got = parse_outcome(capsys, one, argv)
-            want = parse_outcome(capsys, build_parser(), argv)
-            assert got == want, argv
-            assert got[0] in (0, 2)
+        for argv in (complete + ["--frob"], list(path)):
+            assert usage_error(*run(capsys, *argv))[0] == usage
 
     def test_complete_argv_parses_alike(self):
+        # each namespace names its command path and the leaf's handler
         for path, rest in PARSE_ARGV.items():
-            argv = list(path) + rest
-            got = vars(build_parser(argv).parse_args(argv))
-            want = vars(build_parser().parse_args(argv))
-            assert got == want
+            got = vars(cli.parse(list(path) + rest))
+            assert got["handler"] is cli._node(path)[2]
+            assert [got["command"], got.get("op")][:len(path)] == list(path)
 
     def test_optional_arguments_in_table(self):
         optional = {(path, flag) for path, arguments in table_leaves()
-                    for flag, keywords in arguments
-                    if flag.startswith("-") and not keywords.get("required")}
+                    for flag, keywords in arguments if "default" in keywords}
         assert optional == {(("fiber",), "--u"), (("fiber",), "--enumerate"),
                             (("fiber",), "--cap"),
                             (("link", "tau"), "--resolution")}
@@ -559,10 +535,11 @@ class TestParserPerCommand:
     @pytest.mark.parametrize("path, arguments", list(table_leaves()),
                              ids=[" ".join(p) for p, _ in table_leaves()])
     def test_every_argument_parses_alike(self, path, arguments):
-        argv = table_argv(path, arguments)
-        got = vars(build_parser(argv).parse_args(argv))
-        assert got == vars(build_parser().parse_args(argv))
-        for flag, keywords in arguments:  # each one given, none left default
+        # in reverse table order too (positionals all get one sample), and
+        # none is left at its default
+        got = vars(cli.parse(table_argv(path, arguments)))
+        assert vars(cli.parse(table_argv(path, arguments[::-1]))) == got
+        for flag, keywords in arguments:
             dest = keywords.get("dest", flag.lstrip("-"))
             assert got[dest] not in (None, False, keywords.get("default"))
 
@@ -571,18 +548,14 @@ class TestParserPerCommand:
         (["fib"], 2, "err", "argument command: invalid choice: 'fib'"),
         (["-h", "fiber"], 0, "out", "{validate,kappa-check,"),
     ])
-    def test_no_command_named_builds_every_command(self, capsys, monkeypatch,
-                                                   argv, code, stream, text):
-        monkeypatch.setenv("COLUMNS", "80")
-        parser = build_parser(argv)
-        assert commands_of(parser) == [c[0] for c in COMMANDS]
-        got = parse_outcome(capsys, parser, argv)
-        assert got == parse_outcome(capsys, build_parser(), argv)
-        assert got[0] == code
-        assert text in (got[1] if stream == "out" else got[2])
-        assert main(argv) == code
-        out = capsys.readouterr()
-        assert (out.out, out.err) == got[1:]
+    def test_no_command_named_builds_every_command(self, capsys, argv, code,
+                                                   stream, text):
+        # no command, or an unknown one: the usage line lists them all
+        got = run(capsys, *argv)
+        output = got[1] if stream == "out" else got[2]
+        names = ",".join(c[0] for c in COMMANDS)
+        assert got[0] == code and text in output
+        assert output.startswith(f"usage: emb7 [-h] {{{names}}} ...\n")
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["emb7", "tau", "equal",
@@ -590,10 +563,42 @@ class TestParserPerCommand:
         assert main() == 0
         assert capsys.readouterr().out == '{"equal": true}\n'
 
+    def test_help_lists_the_whole_table(self, capsys):
+        # every name and help text of the table is in some -h output
+        shown = ""
+        for path in [(), *command_paths()]:
+            code, out, _ = run(capsys, *path, "-h")
+            assert code == 0
+            shown += out
+        groups = [COMMANDS] + [c[2] for c in COMMANDS if not callable(c[2])]
+        words = [w for commands in groups for c in commands for w in c[:2]]
+        words += [w for _, arguments in table_leaves()
+                  for flag, keywords in arguments
+                  for w in (flag, keywords.get("help"))]
+        assert [w for w in words if w and w not in shown] == []
 
-# Words for the fast-path tests.  A negative number is a value to argparse
-# (its pattern matches "-7\n" and Arabic-Indic digits too); every other word
-# that starts with "-" reads as a flag.
+    @pytest.mark.parametrize("argv, message", [
+        (["fiber", "--manifold", "s1xs3", "--u", "[1.5]", "--L", "[[2]]"],
+         "argument --u: expected integer or decimal string, got 1.5"),
+        (["fiber", "--manifold", "s1xs3", "--L", "[[2],[1,2]]"],
+         "argument --L: ragged rows"),
+        (["move", "apply", "--manifold", "s1xs3", "--class", "[1]",
+          "--move", "1,0,5"],
+         'argument --class: embedding class must be a JSON object with "u" '
+         'and "L"'),
+        (["move", "apply", "--manifold", "s1xs3",
+          "--class", '{"u": [], "L": [["0"]]}', "--move", "1,x,5"],
+         "argument --move: move entries must be integers"),
+        (["tau", "equal", "2", "1", "x", "5"],
+         "argument lp: invalid literal for int() with base 10: 'x'"),
+    ], ids=["u", "L", "class", "move", "tau"])
+    def test_value_error_names_flag_and_reason(self, capsys, argv, message):
+        assert usage_error(*run(capsys, *argv))[1] == message
+
+
+# Words for the parser tests.  A negative number or "-" alone is a value
+# (the number pattern matches "-7\n" and Arabic-Indic digits too); every
+# other word that starts with "-" reads as a flag.
 PLAIN = ["cp2", "s1xs3", "", " -1", "abc", "[1]", "[]", "[[1]]", '[["3"]]',
          "[[1,2],[3,4]]", '{"u": [], "L": [["0"]]}',
          '{"u": [1], "L": [], "beta": ["7"]}', "1,0,5", "2,-1,3", "3", "0",
@@ -607,11 +612,9 @@ EXTRA = ["-h", "--help", "--", "--frob", "extra", "-1"]
 
 
 def type_accepts(keywords, word) -> bool:
-    kind = keywords.get("type")
     try:
-        if kind is not None:
-            kind(word)
-    except Exception:
+        keywords.get("type", str)(word)
+    except (TypeError, ValueError):
         return False
     return True
 
@@ -619,7 +622,7 @@ def type_accepts(keywords, word) -> bool:
 @st.composite
 def argvs(draw):
     """(argv, well_formed): an argv drawn from the table, and whether it has
-    the form that `cli.fast_parse` must read without argparse."""
+    the form that `cli.parse` must read."""
     leaves = list(table_leaves())
     path, arguments = draw(st.sampled_from(leaves))
     ok = True
@@ -643,7 +646,7 @@ def argvs(draw):
         if short == flag and form == "abbrev":
             form = "exact"  # "--L" has no shorter form
         ok = ok and (form == "exact" or form == "omit"
-                     and not keywords.get("required"))
+                     and "default" in keywords)
         if form == "omit":
             continue
         store_true = keywords.get("action") == "store_true"
@@ -681,41 +684,57 @@ def argvs(draw):
 
 
 class TestFastParse:
-    """`cli.fast_parse` reads a well-formed argv as the parser does and
-    leaves every other argv to it."""
+    """`cli.parse` reads a well-formed argv straight from the table; every
+    other argv ends in help or in a usage error."""
 
     @settings(derandomize=True, max_examples=500, deadline=None,
-              database=None)
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argvs())
-    def test_agrees_with_argparse(self, drawn):
+    def test_main_keeps_the_contract(self, capsys, drawn):
         argv, well_formed = drawn
-        got = cli.fast_parse(argv)
         if well_formed:
-            assert got is not None, argv
-        if got is not None:
-            assert vars(got) == vars(build_parser(argv).parse_args(argv))
+            cli.parse(argv)  # raises no UsageError
+        code, out, err = run(capsys, *argv)
+        if code == 0 and out.startswith("usage: emb7 "):  # help
+            assert err == "" and {"-h", "--help"} & set(argv)
+        elif code in (0, 1):
+            assert err == "" and out.count("\n") == 1, argv
+            assert isinstance(json.loads(out), dict)
+        elif err.startswith("emb7: "):
+            unreadable(code, out, err)
+        else:
+            usage_error(code, out, err)
 
     @pytest.mark.parametrize("path, arguments", list(table_leaves()),
                              ids=[" ".join(p) for p, _ in table_leaves()])
     def test_every_complete_argv(self, path, arguments):
-        argv = table_argv(path, arguments)
-        got = cli.fast_parse(argv)
-        assert got is not None
-        assert vars(got) == vars(build_parser(argv).parse_args(argv))
+        got = vars(cli.parse(table_argv(path, arguments)))
+        for flag, keywords in arguments:
+            dest = keywords.get("dest", flag.lstrip("-"))
+            store_true = keywords.get("action") == "store_true"
+            assert got[dest] == (store_true or DECODED[sample(keywords)])
 
+    # each case: an argv and values that it gives
     @pytest.mark.parametrize("argv", [
-        ["tau", "equal", "-2", "1", "-2", "5"],
-        ["tau", "compose", "-7\n", "-\u0663", "0", "-0"],
-        ["link", "tau", "--l", "-3", "--b", "-7", "--resolution", "2"],
-        ["fiber", "--manifold", "-1", "--L", "[[2]]", "--cap", "0"],
-        ["fiber", "--L", "[[-2]]", "--enumerate", "--manifold", "s1xs3"],
-        ["kappa-enum", "--manifold", "", "--bound", "-1"],
-        ["validate", "-12"],
+        (["tau", "equal", "-2", "1", "-2", "5"],
+         {"l": -2, "b": 1, "lp": -2, "bp": 5}),
+        (["tau", "compose", "-7\n", "-\u0663", "0", "-0"],
+         {"l": -7, "b": -3, "lp": 0, "bp": 0}),
+        (["link", "tau", "--l", "-3", "--b", "-7", "--resolution", "2"],
+         {"l": -3, "b": -7, "resolution": 2}),
+        (["fiber", "--manifold", "-1", "--L", "[[2]]", "--cap", "0"],
+         {"manifold": "-1", "cap": 0, "enumerate": False}),
+        (["fiber", "--L", "[[-2]]", "--enumerate", "--manifold", "s1xs3"],
+         {"L": IntMatrix.from_rows(((-2,),)), "manifold": "s1xs3"}),
+        (["kappa-enum", "--manifold", "", "--bound", "-1"],
+         {"manifold": "", "bound": -1}),
+        (["validate", "-12"], {"file": "-12"}),
     ])
     def test_negative_numbers_are_values(self, argv):
-        got = cli.fast_parse(argv)
-        assert got is not None
-        assert vars(got) == vars(build_parser(argv).parse_args(argv))
+        argv, want = argv
+        got = vars(cli.parse(argv))
+        assert {name: got[name] for name in want} == want
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["fiber", "-h"], ["tau", "equal", "--help"],
@@ -731,37 +750,54 @@ class TestFastParse:
         ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate", "1"],
         ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--cap", "-1"],
         ["snf", "--matrix", "-x"], ["snf", "--matrix", "[["],
-        ["validate", "-"], ["validate", "a", "b"], ["tau", "equal", "2", "1"],
+        ["validate", "-x"], ["validate", "a", "b"], ["tau", "equal", "2", "1"],
         ["tau", "equal", "2", "-1,0", "2", "5"],
         ["move", "apply", "--manifold", "s1xs3", "--class", "[]",
          "--move", "1,0,5"],
     ])
-    def test_other_argv_falls_back(self, argv):
-        assert cli.fast_parse(argv) is None
+    def test_other_argv_falls_back(self, capsys, argv):
+        # to help for -h or --help, to a usage error otherwise
+        if {"-h", "--help"} & set(argv):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "" and out.startswith("usage: emb7 ")
+        else:
+            usage_error(*run(capsys, *argv))
+
+
+def modules_after(calls, code=0) -> list:
+    """sys.modules in one fresh interpreter after `import emb7.cli`, then
+    after each argv of `calls` in turn through `emb7.cli.main`, which must
+    return `code` on each."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import emb7.cli\n"
+        "loaded = [sorted(sys.modules)]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert emb7.cli.main(argv) == int(sys.argv[2]), argv\n"
+        "    loaded.append(sorted(sys.modules))\n"
+        "print(json.dumps(loaded))\n")
+    out = fresh_python("-c", script, json.dumps(calls), str(code), check=True)
+    return [set(names) for names in json.loads(out.stdout)]
+
+
+# Well-formed calls of the exact half, each exiting 0.
+EXACT_CALLS = [
+    ["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
+    ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
+    ["classify", "equal", "--manifold", "s1xs3",
+     "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
+     "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
+    ["kappa-enum", "--manifold", "s2xs2", "--bound", "2"],
+    ["snf", "--matrix", "[[2,4],[6,8]]"],
+]
+ARGPARSE = {"argparse", "gettext", "locale"}  # gettext and locale: its imports
 
 
 class TestNumpyOnlyForLinkTau:
     def test_exact_commands_load_no_numpy(self):
-        calls = [
-            ["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
-            ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
-            ["classify", "equal", "--manifold", "s1xs3",
-             "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
-             "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
-            ["kappa-enum", "--manifold", "s2xs2", "--bound", "2"],
-            ["snf", "--matrix", "[[2,4],[6,8]]"],
-        ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "import emb7.cli\n"
-            "loaded = ['numpy' in sys.modules]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert emb7.cli.main(argv) == 0, argv\n"
-            "    loaded.append('numpy' in sys.modules)\n"
-            "print(json.dumps(loaded))\n")
-        out = fresh_python("-c", script, json.dumps(calls), check=True)
-        assert json.loads(out.stdout) == [False] * (len(calls) + 1)
+        assert not any("numpy" in m for m in modules_after(EXACT_CALLS))
 
     @pytest.mark.parametrize("error", ["UnconvergedError"])
     def test_link_errors_are_domain_failures(self, capsys, monkeypatch, error):
@@ -771,11 +807,9 @@ class TestNumpyOnlyForLinkTau:
             raise getattr(emb7.linking, error)("no certificate")
 
         monkeypatch.setattr(emb7.linking, "verify_lambda_tau", failing)
-        code, out, err = run(capsys, "link", "tau", "--l", "1", "--b", "0",
-                             "--resolution", "3")
-        assert code == 1 and "Traceback" not in err
-        assert out.count("\n") == 1
-        assert json.loads(out) == {"error": "no certificate"}
+        payload = failure(*run(capsys, "link", "tau", "--l", "1", "--b", "0",
+                               "--resolution", "3"))
+        assert payload == {"error": "no certificate"}
 
 
 class TestNoFractionsOnLoad:
@@ -790,18 +824,8 @@ class TestNoFractionsOnLoad:
             ["fiber", "--manifold", str(path), "--u", "[0,0]",
              "--L", "[[2,0],[0,2]]", "--enumerate"],
         ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "import emb7.cli\n"
-            "loaded = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert emb7.cli.main(argv) == 0, argv\n"
-            "    loaded.append(sorted({'fractions', 'decimal'}\n"
-            "                         & set(sys.modules)))\n"
-            "print(json.dumps(loaded))\n")
-        out = fresh_python("-c", script, json.dumps(calls), check=True)
-        assert json.loads(out.stdout) == [[]] * len(calls)
+        loaded = modules_after(calls)
+        assert not any(m & {"fractions", "decimal"} for m in loaded)
 
 
 class TestDeeplyNestedJson:
@@ -811,47 +835,30 @@ class TestDeeplyNestedJson:
     DEEP = "[" * 100000
 
     def emb7(self, *argv):
-        return fresh_python("-m", "emb7.cli", *argv)
-
-    def check_usage_error(self, proc):
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        proc = fresh_python("-m", "emb7.cli", *argv)
+        return proc.returncode, proc.stdout, proc.stderr
 
     def test_argument(self):
-        proc = self.emb7("snf", "--matrix", self.DEEP)
-        self.check_usage_error(proc)
-        assert "usage:" in proc.stderr and "--matrix" in proc.stderr
+        _, message = usage_error(*self.emb7("snf", "--matrix", self.DEEP))
+        assert message.startswith("argument --matrix: not valid JSON")
 
     def test_manifold_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(self.DEEP)
-        proc = self.emb7("k-group", "--manifold", str(path), "--u", "[]",
-                         "--L", "[]")
-        self.check_usage_error(proc)
-        assert proc.stderr.startswith("emb7: ")
+        unreadable(*self.emb7("k-group", "--manifold", str(path), "--u", "[]",
+                              "--L", "[]"))
 
     def test_validate_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(self.DEEP)
-        proc = self.emb7("validate", str(path))
-        self.check_usage_error(proc)
-        assert proc.stderr.startswith("emb7: ")
+        unreadable(*self.emb7("validate", str(path)))
 
 
 def emb7_modules_after(*argv):
     """The emb7 modules loaded in a fresh interpreter after `import emb7.cli`
     and, when argv is given, one successful `emb7.cli.main(argv)`."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "import emb7.cli\n"
-        "if sys.argv[1:]:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert emb7.cli.main(sys.argv[1:]) == 0, sys.argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] == 'emb7')))\n")
-    return set(json.loads(fresh_python("-c", script, *argv,
-                                       check=True).stdout))
+    loaded = modules_after([list(argv)] if argv else [])[-1]
+    return {m for m in loaded if m.split(".")[0] == "emb7"}
 
 
 class TestImportsPerCommand:
@@ -879,49 +886,42 @@ class TestImportsPerCommand:
         assert not loaded & {f"emb7.{m}" for m in absent}
 
     def test_link_tau_loads_no_dataclasses_or_polynomial(self):
-        script = (
-            "import contextlib, io, sys\n"
-            "import emb7.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert emb7.cli.main(['link', 'tau', '--l', '2',\n"
-            "                          '--b', '1']) == 0\n"
-            "print(sorted({'dataclasses', 'numpy.polynomial'}\n"
-            "             & set(sys.modules)))\n")
-        assert fresh_python("-c", script, check=True).stdout == "[]\n"
+        loaded = modules_after([["link", "tau", "--l", "2", "--b", "1"]])
+        assert not loaded[-1] & {"dataclasses", "numpy.polynomial"}
 
 
 class TestNoArgparseWhenWellFormed:
-    """A well-formed call never builds a parser: argparse, and the gettext
-    and locale it imports, stay unloaded."""
+    """No call imports argparse, or the gettext and locale it imports:
+    neither a well-formed call nor help, usage and errors."""
 
     def test_well_formed_calls(self):
-        calls = [
-            ["k-group", "--manifold", "s1xs3", "--u", "[]", "--L", "[[3]]"],
-            ["fiber", "--manifold", "s1xs3", "--L", "[[2]]", "--enumerate"],
-            ["classify", "equal", "--manifold", "s1xs3",
-             "--class1", '{"u": [], "L": [["3"]], "beta": ["1"]}',
-             "--class2", '{"u": [], "L": [["3"]], "beta": ["7"]}'],
-            ["kappa-enum", "--manifold", "s2xs2", "--bound", "2"],
-            ["snf", "--matrix", "[[2,4],[6,8]]"],
-        ]
-        script = (
-            "import contextlib, io, json, sys\n"
-            "import emb7.cli\n"
-            "loaded = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert emb7.cli.main(argv) == 0, argv\n"
-            "    loaded.append(sorted({'argparse', 'gettext', 'locale'}\n"
-            "                         & set(sys.modules)))\n"
-            "print(json.dumps(loaded))\n")
-        out = fresh_python("-c", script, json.dumps(calls), check=True)
-        assert json.loads(out.stdout) == [[]] * len(calls)
+        assert not any(m & ARGPARSE for m in modules_after(EXACT_CALLS))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["-h"], 0),
+        (["fiber", "--manifold=s1xs3", "--L", "[[2]]"], 2),
+        (["fiber", "--manifold", "s1xs3", "--L", "[[1.5]]"], 2),
+    ], ids=["help", "malformed", "bad-value"])
+    def test_help_and_errors(self, argv, code):
+        assert not modules_after([argv], code)[-1] & ARGPARSE
 
     def test_malformed_call_prints_usage(self):
         proc = fresh_python("-m", "emb7.cli", "fiber", "--frob")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("usage: emb7 fiber ")
         assert "Traceback" not in proc.stderr
+
+    def test_no_module_imports_argparse(self):
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        for entry in sorted(os.listdir(package)):
+            if entry.endswith(".py"):
+                with open(os.path.join(package, entry)) as fh:
+                    nodes = list(ast.walk(ast.parse(fh.read())))
+                names = [a.name for n in nodes if isinstance(n, ast.Import)
+                         for a in n.names]
+                names += [n.module or "" for n in nodes
+                          if isinstance(n, ast.ImportFrom)]
+                assert "argparse" not in {m.split(".")[0] for m in names}
 
 
 class TestBarePackage:
@@ -1247,8 +1247,7 @@ class TestManifoldMemo:
         for argv in [("validate", str(path)),
                      ("kappa-enum", "--bound", "1", "--manifold", str(path))]:
             for _ in range(2):
-                code, out, err = run(capsys, *argv)
-                assert (code, out) == (2, "") and err.startswith("emb7: ")
+                unreadable(*run(capsys, *argv))
 
     def test_builtin_never_reaches_the_memo(self, capsys, monkeypatch):
         calls = counting_loads(monkeypatch)

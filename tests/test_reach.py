@@ -103,6 +103,8 @@ CORPUS = [
     (["link", "tau", "--l", "-2", "--b", "1"], 0),
     (["link", "tau", "--l", "2", "--b", "0", "--resolution", "1"], 1),
     (["link", "tau", "--l", "4", "--b", "0", "--resolution", "5"], 1),
+    (["-h"], 0),
+    (["tau", "-h"], 0),
     (["fiber", "-h"], 0),
     (["frobnicate"], 2),
 ]
