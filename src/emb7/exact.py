@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -120,7 +121,7 @@ class IntMatrix:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and tuple(zip(*self.data)) == self.data

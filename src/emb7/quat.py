@@ -14,10 +14,8 @@ _FRAME_SIGN = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0],
 
 
 def frame(x: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frame (x*i, x*j, x*k) at unit quaternions x.
-
-    Returns shape (..., 3, 4); globally smooth and orientation-consistent.
-    """
+    """Orthonormal tangent frame (x*i, x*j, x*k), shape (..., 3, 4), at unit
+    quaternions x: globally smooth and orientation-consistent."""
     return x[..., _FRAME_INDEX] * _FRAME_SIGN
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -313,6 +314,42 @@ def jet_pow(a: tuple, n: int) -> tuple:
     return acc
 
 
+# --- points-only fiber oracles -----------------------------------------------
+# The points of the projected fibers, without derivatives and without the
+# jets of `src`: what a distance check such as the separation bound reads.
+
+
+def projected_from_e5(y: np.ndarray) -> np.ndarray:
+    """Stereographic projection of S^7 from e5 onto R^7, up to a rotation
+    of R^7 (which keeps every distance): points only."""
+    return np.delete(y, 4, axis=-1) / (1.0 - y[..., 4:5])
+
+
+def tau_points(l: int, sign: int):
+    """x -> the projected (x, sign * x^l)/sqrt(2), with x^l from jet_pow
+    along no tangent direction."""
+
+    def points(x):
+        power, _ = jet_pow((x, np.zeros(x.shape[:-1] + (0, 4))), l)
+        return projected_from_e5(
+            np.concatenate([x, sign * power], axis=-1) / math.sqrt(2.0))
+
+    return points
+
+
+def t1_points(sign: int):
+    """y -> the projected (sign * y, y)/sqrt(2), the points of t1_fiber."""
+    return lambda y: projected_from_e5(
+        np.concatenate([sign * y, y], axis=-1) / math.sqrt(2.0))
+
+
+def t2_points(sign: int):
+    """y -> the projected (sign * y i y^-1, y)/sqrt(2), the points of
+    t2_fiber."""
+    return lambda y: projected_from_e5(np.concatenate(
+        [sign * qmul(qmul(y, QI), qconj(y)), y], axis=-1) / math.sqrt(2.0))
+
+
 # --- test-only linking models ------------------------------------------------
 
 
@@ -327,6 +364,33 @@ def reversed_cycle(cycle: lk.ParamCycle) -> lk.ParamCycle:
         return F, J
 
     return cycle._replace(jet=jet)
+
+
+def plucker_by_gathers(dF: np.ndarray) -> np.ndarray:
+    """Pluecker coordinates (N, 35) of the frames dF (N, 3, 7), the 3x3
+    minors on the row triples i < j < k in lexicographic order, each with
+    its own three 2x2 minors: the oracle for lk._plucker."""
+    a, b, c = dF[:, 0], dF[:, 1], dF[:, 2]
+    i, j, k = np.array(list(itertools.combinations(range(7), 3))).T
+    return (a[:, i] * (b[:, j] * c[:, k] - b[:, k] * c[:, j])
+            - a[:, j] * (b[:, i] * c[:, k] - b[:, k] * c[:, i])
+            + a[:, k] * (b[:, i] * c[:, j] - b[:, j] * c[:, i]))
+
+
+def laplace_terms_by_loop() -> tuple:
+    """(I, J, S) of lk._laplace_terms built row by row: for each triple K
+    of lexicographic rows, I[t, K] is the t-th row outside K, J[t, K] the
+    index of the other three and S[t, K] = (-1)^(15 - sum(K) + t) the sign
+    of the row permutation (I, J, K).  The oracle for the numpy build."""
+    triples = list(itertools.combinations(range(7), 3))
+    index = {K: k for k, K in enumerate(triples)}
+    I, J, S = (np.zeros((4, 35), dtype=dt) for dt in (int, int, float))
+    for k, K in enumerate(triples):
+        rest = [r for r in range(7) if r not in K]
+        for t, i in enumerate(rest):
+            I[t, k], J[t, k] = i, index[tuple(r for r in rest if r != i)]
+            S[t, k] = (-1) ** (15 - sum(K) + t)
+    return I, J, S
 
 
 def fd_jacobian(cycle: lk.ParamCycle, x: np.ndarray,

@@ -259,7 +259,7 @@ class TestLatticeMember:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6),
            st.sampled_from((0, 0, 1, 2, 4, 6, 8, 9, 12, 30, 36)),
-           st.randoms(use_true_random=False))
+           st.randoms(use_true_random=True))
     def test_matches_coset_normal_form(self, b1, b3, d, rnd):
         P = random_unimodular(rnd, b1)
         lam = random_matrix(rnd, b1, b3, bound=rnd.choice((2, 9)))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,8 +12,10 @@ import emb7.linking as lk
 import emb7.quat as quat
 from emb7.resolution import MAX_RESOLUTION
 from conftest import (QI, QJ, QK, QONE, fd_jacobian, frame_jets, jet_pow,
-                      qconj, qmul, reversed_cycle, t1_fiber, t1_separation,
-                      t2_fiber, t2_separation, tau_evaluate)
+                      laplace_terms_by_loop, plucker_by_gathers, qconj, qmul,
+                      reversed_cycle, t1_fiber, t1_points, t1_separation,
+                      t2_fiber, t2_points, t2_separation, tau_evaluate,
+                      tau_points)
 
 
 def reference_pair_sum(fx, dfx, wx, fy, dfy, wy):
@@ -488,7 +491,8 @@ class TestXi2Column:
         emb = lk.tau_embedding(2, 0)
         lk.linking_number(emb.fiber(+1), emb.fiber(-1), resolution=5,
                           separation=lk.tau_fiber_separation(2))
-        assert sorted(sizes) == [2 * 5, 2 * 5 ** 2]
+        # the slice and the column, stacked
+        assert sizes == [2 * 5 + 2 * 5 ** 2]
         sizes.clear()
         lk.linking_number(round_sphere([0] * 7),
                           round_sphere([5, 0, 0, 0, 0, 0, 0]),
@@ -529,6 +533,50 @@ class TestXi2Column:
             # the volume factor rides in the tangents, so the weights of a
             # whole grid add up to the box (pi/2) (2 pi)^2 of the Hopf angles
             assert column_total == pytest.approx(2 * math.pi ** 3, rel=1e-13)
+
+
+class TestSharedRung:
+    """Both tau fibers of a rung go through one jet pass and one Pluecker
+    pass, and give the estimates of separate passes."""
+
+    def test_matches_the_recorded_estimates(self):
+        path = os.path.join(os.path.dirname(__file__), "tau_golden.json")
+        with open(path) as fh:
+            rows = json.load(fh)["rows"]
+        assert len(rows) == 17 * 7
+        for l, n, estimate, verdict in rows:
+            emb = lk.tau_embedding(l, 0)
+            res = lk.linking_number(emb.fiber(+1), emb.fiber(-1),
+                                    resolution=n, require_convergence=False,
+                                    separation=lk.tau_fiber_separation(l))
+            assert abs(res.estimate - estimate) <= 1e-12, (l, n)
+            if verdict is None:
+                with pytest.raises(lk.UnconvergedError):
+                    lk.verify_lambda_tau(l, 0, n)
+            else:
+                rep = lk.verify_lambda_tau(l, 0, n)
+                assert [rep.value, rep.passed] == verdict, (l, n)
+
+    def test_one_node_pass_and_one_plucker_pass(self, monkeypatch):
+        calls = []
+        for name in ("_cycle_nodes", "_plucker"):
+            def counted(*args, fn=getattr(lk, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(lk, name, counted)
+        assert lk.verify_lambda_tau(2, 0, 7).passed
+        assert sorted(calls) == ["_cycle_nodes", "_plucker"]
+
+    @pytest.mark.parametrize("n", [1, 2, 112])
+    def test_plucker_matches_the_gathers(self, n):
+        # the same products and differences, taken once per 2x2 minor
+        dF = np.random.default_rng(n).normal(size=(n, 3, 7))
+        assert np.array_equal(lk._plucker(dF), plucker_by_gathers(dF))
+
+    def test_laplace_terms_match_the_loop(self):
+        for got, want in zip(lk._laplace_terms(), laplace_terms_by_loop()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestVerify:
@@ -631,10 +679,11 @@ def exp_imaginary(axis, t):
 
 
 def sampled_min(X, Y, k, seed=0):
-    """Smallest distance |X(x) - Y(y)| over a seeded sample of pairs:
-    random pairs, near pairs x, x exp(n t) with t up to pi / max(1, |k|),
-    and all pairs on the one-parameter subgroups through i, j, k and random
-    axes, which reach the pole side of both projected fibers."""
+    """Smallest distance |X(x) - Y(y)| of the point maps X and Y over a
+    seeded sample of pairs: random pairs, near pairs x, x exp(n t) with t
+    up to pi / max(1, |k|), and all pairs on the one-parameter subgroups
+    through i, j, k and random axes, which reach the pole side of both
+    projected fibers."""
     r = np.random.default_rng(seed)
     x = r.normal(size=(2000, 4))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
@@ -648,16 +697,16 @@ def sampled_min(X, Y, k, seed=0):
                            unit_imaginary(r, 3)])
     xs = [x, x] + [exp_imaginary(n, S) for n in axes]
     ys = [y, near] + [exp_imaginary(n, T) for n in axes]
-    return min(float(np.min(np.linalg.norm(
-        X.jet(a)[0] - Y.jet(b)[0], axis=-1))) for a, b in zip(xs, ys))
+    return min(float(np.min(np.linalg.norm(X(a) - Y(b), axis=-1)))
+               for a, b in zip(xs, ys))
 
 
 class TestSeparation:
     @pytest.mark.parametrize("k", range(-8, 9))
     def test_below_sampled_distance(self, k):
-        emb = lk.tau_embedding(k, 0)
         bound = lk.tau_fiber_separation(k)
-        assert 0 < bound <= sampled_min(emb.fiber(+1), emb.fiber(-1), k)
+        assert 0 < bound <= sampled_min(
+            tau_points(k, +1), tau_points(k, -1), k)
 
     def test_positive_for_every_allowed_l(self):
         assert all(lk.tau_fiber_separation(l) > 0
@@ -669,7 +718,7 @@ class TestSeparation:
         assert 0 < floor <= lk.tau_fiber_separation(k)
 
     def test_other_models(self):
-        assert 0 < t1_separation() <= sampled_min(
-            t1_fiber(+1), t1_fiber(-1), 1)
-        assert 0 < t2_separation() <= sampled_min(
-            t2_fiber(+1), t2_fiber(-1), 2)
+        assert 0 < t1_separation() <= sampled_min(t1_points(+1),
+                                                  t1_points(-1), 1)
+        assert 0 < t2_separation() <= sampled_min(t2_points(+1),
+                                                  t2_points(-1), 2)
