@@ -88,16 +88,16 @@ def _hopf_nodes(n: int, cols: int) -> SphereGrid:
     m = 2 * n
     xi = 2.0 * math.pi * np.arange(m) / m
     w_xi = 2.0 * math.pi / m
-    E, X1, X2 = np.meshgrid(eta, xi, xi[:cols], indexing="ij")
-    ce, se = np.cos(E).ravel(), np.sin(E).ravel()
-    c1, s1 = np.cos(X1).ravel(), np.sin(X1).ravel()
-    c2, s2 = np.cos(X2).ravel(), np.sin(X2).ravel()
+    k = np.arange(n * m * cols)  # eta slowest, xi2 fastest
+    E, X1, X2 = eta[k // (m * cols)], xi[k // cols % m], xi[k % cols]
+    ce, se = np.cos(E), np.sin(E)
+    c1, s1 = np.cos(X1), np.sin(X1)
+    c2, s2 = np.cos(X2), np.sin(X2)
     pts = np.stack([ce * c1, ce * s1, se * c2, se * s2], axis=-1)
-    d_eta = np.stack([-se * c1, -se * s1, ce * c2, ce * s2], axis=-1)
     z = np.zeros_like(ce)
-    d_xi1 = np.stack([-ce * s1, ce * c1, z, z], axis=-1)
-    d_xi2 = np.stack([z, z, -se * s2, se * c2], axis=-1)
-    tangents = np.stack([d_eta, d_xi1, d_xi2], axis=-2)
+    tangents = np.stack([-se * c1, -se * s1, ce * c2, ce * s2,  # d/d eta
+                         -ce * s1, ce * c1, z, z,  # d/d xi1
+                         z, z, -se * s2, se * c2], axis=-1).reshape(-1, 3, 4)
     weights = np.repeat(w_eta * w_xi * w_xi, m * cols)
     return _sphere_grid(pts, tangents, weights)
 
