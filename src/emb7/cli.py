@@ -289,8 +289,7 @@ def _cmd_link_tau(args):
     from . import linking  # numpy: no other command loads it
 
     try:
-        report = linking.verify_lambda_tau(args.l, args.b,
-                                           resolution=args.resolution)
+        report = linking.verify_lambda_tau(args.l, resolution=args.resolution)
     except linking.UnconvergedError as exc:
         return {"error": str(exc)}, 1
     return {

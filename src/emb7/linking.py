@@ -1,23 +1,24 @@
-"""Linking numbers of disjoint smooth 3-cycles in R^7 as the degree of the
-generalized Gauss map G(x, y) = (f(x) - g(y)) / |f(x) - g(y)|, and the
-twisted torus embeddings S^1 x S^3 -> S^7 whose fiber linking realizes the
-lambda invariant.
+"""Linking number of the theta = 0 and theta = pi fibers of the twisted
+torus embeddings S^1 x S^3 -> S^7, which realizes their lambda invariant,
+as the degree of the generalized Gauss map G(x, y) = (f(x) - g(y)) /
+|f(x) - g(y)|.
 
-A cycle is given by the analytic jet of its parametrization by the unit
-quaternions.  The degree is a quadrature over both parametrizing
-3-spheres, whose pair sum runs in one numpy kernel, `pair_sum`, that
-reduces the 7x7 determinant of every node pair to matrix products over
-Pluecker coordinates.  The tau fibers are projected from e5, which
-conjugation by any unit quaternion fixes while mapping each fiber to
-itself.  So `link tau` sums one fiber over one point x_t = cos t + i sin t
-of each conjugacy class, and the other over the xi2 = 0 column of its
-Hopf grid, which the e^{i s} fixing x_t shift along xi2.  Cycles without
-that symmetry are summed over the full Hopf grid on both sides.
+The torus of type (l, b) maps (theta, x) to (x, alpha1(x) cos(theta) +
+alpha2(x) sin(theta))/sqrt(2) with alpha1(x) = x^l, so at every b its two
+fibers are x -> (x, +-x^l)/sqrt(2), oriented by the frame (x i, x j, x k).
+They are projected from e5, which is off the image, and which conjugation
+by any unit quaternion fixes while mapping each fiber to itself.  So the
+degree, a quadrature over both parametrizing 3-spheres, sums one fiber over
+one point x_t = cos t + i sin t of each conjugacy class, and the other over
+the xi2 = 0 column of its Hopf grid, which the e^{i s} fixing x_t shift
+along xi2.
 
-A tau rung is one stacked node set, the slice then the column: both
-fibers x -> (x, +-x^l)/sqrt(2) take one jet pass with a sign per node,
-and `pair_sum` one Pluecker pass and one Laplace contraction over both
-sides' rows, a fixed number of numpy calls at every l.
+A rung is one stacked node set, the slice then the column: both fibers
+take one jet pass with a sign per node, and `pair_sum` one Pluecker pass
+and one Laplace contraction over both sides' rows, which reduces the 7x7
+determinant of every node pair to matrix products: a fixed number of numpy
+calls at every l.  That is the only path; the sum over any two cycles on
+the full Hopf grid, which the tests hold it to, is in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ class UnconvergedError(RuntimeError):
     """Quadrature residual too large; raise the resolution."""
 
 
-class ParamCycle(namedtuple("ParamCycle", "jet conjugation_symmetric",
-                            defaults=(False,))):
-    """A smooth parametrized oriented 3-cycle in R^7.
-
-    `jet` maps unit quaternions x (..., 4) to the points (..., 7) and their
-    (..., 3, 7) derivative along the frame (x*i, x*j, x*k), which orients
-    the cycle.  `conjugation_symmetric` marks a cycle that conjugation by
-    each unit quaternion maps to its image under the rotation of R^7 that
-    it induces on the projection from e5."""
-
-    __slots__ = ()
-
-
 # points (N, 4) unit quaternions, tangents (N, 3, 4) coordinate tangents,
 # weights (N,) product quadrature weights, and coeff (N, 3, 3) the tangents
 # in the frame (x i, x j, x k) along which the jets differentiate
@@ -75,11 +63,12 @@ def hopf_grid(n: int) -> SphereGrid:
     e^{i xi1}, sin(eta) e^{i xi2}): Gauss-Legendre nodes in eta on
     [0, pi/2] and 2n uniform nodes in each periodic angle.  The volume
     factor rides in the tangents, so the weights are plain products."""
-    return _hopf_nodes(n, 2 * n)
+    return _sphere_grid(*_hopf_nodes(n, 2 * n))
 
 
-def _hopf_nodes(n: int, cols: int) -> SphereGrid:
-    """The nodes of hopf_grid(n) on its first `cols` xi2."""
+def _hopf_nodes(n: int, cols: int) -> tuple:
+    """The points, tangents and weights of hopf_grid(n) on its first
+    `cols` xi2."""
     if n < 1:
         raise ValueError("resolution must be >= 1")
     nodes, wts = _gauss_legendre(n)
@@ -98,8 +87,7 @@ def _hopf_nodes(n: int, cols: int) -> SphereGrid:
     tangents = np.stack([-se * c1, -se * s1, ce * c2, ce * s2,  # d/d eta
                          -ce * s1, ce * c1, z, z,  # d/d xi1
                          z, z, -se * s2, se * c2], axis=-1).reshape(-1, 3, 4)
-    weights = np.repeat(w_eta * w_xi * w_xi, m * cols)
-    return _sphere_grid(pts, tangents, weights)
+    return pts, tangents, np.repeat(w_eta * w_xi * w_xi, m * cols)
 
 
 def _gauss_legendre(n: int) -> tuple:
@@ -163,36 +151,28 @@ def tau_fiber_separation(l: int) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _xi2_column(n: int) -> SphereGrid:
-    """The xi2 = 0 nodes of hopf_grid(n), built once per process."""
-    return _hopf_nodes(n, 1)
+def _tau_grid(n: int) -> SphereGrid:
+    """Both sides of a tau rung as one node set, built once per process.
 
-
-@functools.lru_cache(maxsize=8)
-def _slice_grid(n: int) -> SphereGrid:
-    """x_t = cos t + i sin t at t = pi k / m, k < m = 2n: one point of each
-    conjugacy class of S^3, weighted by its area 4 pi sin^2 t times the
-    trapezoid step pi / m on [0, pi], with tangents -frame(x_t), oriented
-    as hopf_grid's.  Built once per process."""
+    First the slice: x_t = cos t + i sin t at t = pi k / m, k < m = 2n, one
+    point of each conjugacy class of S^3, weighted by its area 4 pi sin^2 t
+    times the trapezoid step pi / m on [0, pi], with tangents -frame(x_t),
+    oriented as hopf_grid's.  Then the xi2 = 0 column of hopf_grid(n),
+    with weights times its orbit of 2n shifts."""
     m = 2 * n
     t = math.pi * np.arange(m) / m
     pts = np.zeros((m, 4))
     pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
-    return _sphere_grid(pts, -quat.frame(pts),
-                        4.0 * math.pi * np.sin(t) ** 2 * (math.pi / m))
+    column, tangents, weights = _hopf_nodes(n, 1)
+    return _sphere_grid(
+        np.concatenate([pts, column]),
+        np.concatenate([-quat.frame(pts), tangents]),
+        np.concatenate([4.0 * math.pi * np.sin(t) ** 2 * (math.pi / m),
+                        weights * m]))
 
 
-@functools.lru_cache(maxsize=8)
-def _tau_grid(n: int) -> SphereGrid:
-    """_slice_grid(n), then _xi2_column(n) with weights times 2n: both sides
-    of a tau rung as one node set, built once per process."""
-    s, c = _slice_grid(n), _xi2_column(n)
-    return _sphere_grid(*map(np.concatenate, zip(s[:3], c._replace(
-        weights=c.weights * (2 * n))[:3])))
-
-
-def _cycle_nodes(cycle: ParamCycle, grid: SphereGrid) -> tuple:
-    F, J = cycle.jet(grid.points)
+def _cycle_nodes(jet, grid: SphereGrid) -> tuple:
+    F, J = jet(grid.points)
     return np.ascontiguousarray(F, dtype=float), grid.coeff @ J, grid.weights
 
 
@@ -293,54 +273,35 @@ def pair_sum(fx: np.ndarray, dfx: np.ndarray, wx: np.ndarray,
 LinkResult = namedtuple("LinkResult", "estimate value residual passed")
 
 
-def linking_number(X: ParamCycle, Y: ParamCycle,
-                   resolution: int = DEFAULT_RESOLUTION,
-                   require_convergence: bool = True, *,
+def linking_number(l: int, resolution: int = DEFAULT_RESOLUTION, *,
                    separation: float) -> LinkResult:
-    """Linking number of two disjoint 3-cycles as a certified rounding of
-    the Gauss-map degree integral.
+    """Linking number of the theta = 0 and theta = pi fibers of any (l, b)
+    torus as a rounding of the Gauss-map degree integral, at n =
+    resolution.  Raises nothing: `verify_lambda_tau` judges the rounding.
 
     `separation` is the caller's certified lower bound on the distance
     between the two images: it witnesses that the degree is defined, and
-    is not read here.  Raises, if `require_convergence`, UnconvergedError
-    when the estimate is not within 0.25 of an integer.
+    is not read here.
 
-    When both cycles are `conjugation_symmetric`, the integral over Y is a
-    class function of x.  X is then summed over `_slice_grid`, one point
-    x_t of each conjugacy class, by the trapezoid rule in t (geometric
-    convergence: the integrand is periodic and analytic in t), and Y over
-    the xi2 = 0 column, weights times 2n, which conjugation by e^{i s}
-    fixing x_t shifts along xi2.  The two fibers of one torus take one
-    stacked set of 2n + 2n^2 nodes, and 4n^3 pairs, at n = resolution.
+    The integral over the second fiber is a class function of the first
+    fiber's point x.  The first is summed over the slice of `_tau_grid`,
+    one point x_t of each conjugacy class, by the trapezoid rule in t
+    (geometric convergence: the integrand is periodic and analytic in t),
+    and the second over its column, which conjugation by e^{i s} fixing
+    x_t shifts along xi2: 2n + 2n^2 nodes in one jet pass, and 4n^3 pairs.
     """
-    n = resolution
-    if X.conjugation_symmetric and Y.conjugation_symmetric:
-        m, jx, jy = 2 * n, X.jet, Y.jet
-        if type(jx) is type(jy) is _FiberJet and jx.l == jy.l:
-            # both fibers of one torus: one jet pass, with a sign per node
-            sign = np.repeat([jx.sign, jy.sign], [m, m * n])[:, None]
-            F, dF, w = _cycle_nodes(ParamCycle(jx._replace(sign=sign)),
-                                    _tau_grid(n))
-            nodes = F[:m], dF[:m], w[:m], F[m:], dF[m:], w[m:]
-        else:
-            fy, dfy, wy = _cycle_nodes(Y, _xi2_column(n))
-            nodes = _cycle_nodes(X, _slice_grid(n)) + (fy, dfy, wy * m)
-    else:
-        grid = hopf_grid(n)
-        nodes = _cycle_nodes(X, grid) + _cycle_nodes(Y, grid)
-    raw = pair_sum(*nodes)
+    n, m = resolution, 2 * resolution
+    sign = np.repeat([1.0, -1.0], [m, m * n])[:, None]
+    F, dF, w = _cycle_nodes(_FiberJet(l, sign), _tau_grid(n))
+    raw = pair_sum(F[:m], dF[:m], w[:m], F[m:], dF[m:], w[m:])
     estimate = INTEGRAND_SIGN * raw / VOL_S6
     value = int(round(estimate))
     residual = abs(estimate - value)
-    if require_convergence and residual > 0.25:
-        raise UnconvergedError(
-            f"estimate {estimate:.6f} is not near an integer; "
-            f"raise the resolution (currently {n})")
     return LinkResult(estimate, value, residual, residual < 0.1)
 
 
 # ---------------------------------------------------------------------------
-# Twisted torus embeddings S^1 x S^3 -> S^7 in R^8
+# The tau fibers, projected from e5 into R^7
 
 
 # The pole e5, the real axis of the second 4-block, goes to the standard
@@ -361,9 +322,9 @@ def stereographic_jet(y: np.ndarray, dy: np.ndarray) -> tuple:
     return z, dz
 
 
-class _FiberJet(namedtuple("_FiberJet", "l sign project")):
+class _FiberJet(namedtuple("_FiberJet", "l sign")):
     """The jet of x -> (x, sign * x^l)/sqrt(2), stereographically projected
-    if `project`; `sign` is +-1, or a column of them, one per node."""
+    from e5; `sign` is +-1, or a column of them, one per node."""
 
     __slots__ = ()
 
@@ -373,37 +334,19 @@ class _FiberJet(namedtuple("_FiberJet", "l sign project")):
         sign = np.asarray(self.sign, dtype=float)
         y = np.concatenate([x, sign * v], axis=-1) / math.sqrt(2.0)
         dy = np.concatenate([fr, sign[..., None] * dv], -1) / math.sqrt(2.0)
-        return stereographic_jet(y, dy) if self.project else (y, dy)
+        return stereographic_jet(y, dy)
 
 
-class TauEmbedding(namedtuple("TauEmbedding", "l b")):
-    """The twisted torus embedding of type (l, b): (theta, x) maps to
-    (x, alpha1(x) cos(theta) + alpha2(x) sin(theta)) on the unit sphere,
-    both 4-blocks of norm 1/sqrt(2), so the pole e5 is never in the image.
-    """
-
-    __slots__ = ()
-
-    def fiber(self, sign: int = 1, project: bool = True) -> ParamCycle:
-        """The cycle cut out by theta = 0 (sign 1) or pi (sign -1),
-        projected into R^7 by default, which is `conjugation_symmetric` as
-        conjugation commutes with x -> x^l."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return ParamCycle(_FiberJet(self.l, sign, project), project)
-
-
-def tau_embedding(l: int, b: int) -> TauEmbedding:
-    return TauEmbedding(int(l), int(b))
-
-
-def verify_lambda_tau(l: int, b: int,
+def verify_lambda_tau(l: int,
                       resolution: int = DEFAULT_RESOLUTION) -> LinkResult:
-    """Check that the theta = 0 and theta = pi fibers of the (l, b) torus
-    link exactly l times.  The default resolution passes |l| <= 3; larger
-    twisting needs a finer grid (|l| = 4 passes at resolution 21)."""
-    emb = tau_embedding(l, b)
-    sep = tau_fiber_separation(l)
-    res = linking_number(emb.fiber(+1), emb.fiber(-1),
-                         resolution=resolution, separation=sep)
+    """Check that the theta = 0 and theta = pi fibers of the (l, b) torus,
+    at any b, link exactly l times.  Raises UnconvergedError when the
+    estimate is not within 0.25 of an integer.  The default resolution
+    passes |l| <= 3; larger twisting needs a finer grid (|l| = 4 passes at
+    resolution 21)."""
+    res = linking_number(l, resolution, separation=tau_fiber_separation(l))
+    if res.residual > 0.25:
+        raise UnconvergedError(
+            f"estimate {res.estimate:.6f} is not near an integer; "
+            f"raise the resolution (currently {resolution})")
     return res._replace(passed=res.passed and res.value == l)

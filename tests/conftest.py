@@ -353,17 +353,39 @@ def t2_points(sign: int):
 # --- test-only linking models ------------------------------------------------
 
 
-def reversed_cycle(cycle: lk.ParamCycle) -> lk.ParamCycle:
-    """`cycle` with the opposite orientation: the first tangent row of its
-    jet negated, which negates every determinant it enters."""
+def tau_halves(n: int) -> tuple:
+    """The slice and the column of lk._tau_grid(n), the column's weights
+    already times 2n, as two grids."""
+    grid, m = lk._tau_grid(n), 2 * n
+    return (lk.SphereGrid(*(a[:m] for a in grid)),
+            lk.SphereGrid(*(a[m:] for a in grid)))
 
-    def jet(x):
-        F, J = cycle.jet(x)
+
+def reference_linking(X, Y, n: int, symmetric: bool) -> float:
+    """The Gauss-map degree of the cycles with jets X and Y, each mapping
+    unit quaternions (..., 4) to points (..., 7) and their (..., 3, 7)
+    derivative along the frame (x i, x j, x k): X on the slice and Y on
+    the column of tau_halves(n) when both are `symmetric` (conjugation by
+    a unit quaternion maps each to its image under the rotation of R^7 it
+    induces on the projection from e5), else both on the full
+    lk.hopf_grid(n).  The generic path that lk.linking_number is held to."""
+    grids = tau_halves(n) if symmetric else (lk.hopf_grid(n),) * 2
+    raw = lk.pair_sum(*lk._cycle_nodes(X, grids[0]),
+                      *lk._cycle_nodes(Y, grids[1]))
+    return lk.INTEGRAND_SIGN * raw / lk.VOL_S6
+
+
+def reversed_cycle(jet):
+    """The jet of the opposite orientation: the first tangent row negated,
+    which negates every determinant it enters."""
+
+    def flipped(x):
+        F, J = jet(x)
         J = J.copy()
         J[..., 0, :] *= -1.0
         return F, J
 
-    return cycle._replace(jet=jet)
+    return flipped
 
 
 def plucker_by_gathers(dF: np.ndarray) -> np.ndarray:
@@ -393,15 +415,14 @@ def laplace_terms_by_loop() -> tuple:
     return I, J, S
 
 
-def fd_jacobian(cycle: lk.ParamCycle, x: np.ndarray,
-                h: float = 1e-5) -> np.ndarray:
-    """Central differences of the points of `cycle` along the frame
+def fd_jacobian(jet, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences of the points of `jet` along the frame
     (x i, x j, x k): the oracle for the analytic jets."""
     rows = []
     for q in (QI, QJ, QK):
         step = math.cos(h) * QONE + math.sin(h) * q
-        fwd = cycle.jet(qmul(x, step))[0]
-        back = cycle.jet(qmul(x, qconj(step)))[0]
+        fwd = jet(qmul(x, step))[0]
+        back = jet(qmul(x, qconj(step)))[0]
         rows.append((fwd - back) / (2.0 * h))
     return np.stack(rows, axis=-2)
 
@@ -430,17 +451,16 @@ def frame_jets(x: np.ndarray, l: int, b: int) -> tuple:
     return a1, a2
 
 
-def tau_evaluate(emb: lk.TauEmbedding, theta: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    """The torus `emb` at (theta, x), on the unit sphere of R^8."""
-    (a1, _), (a2, _) = frame_jets(x, emb.l, emb.b)
+def tau_evaluate(l: int, b: int, theta, x: np.ndarray) -> np.ndarray:
+    """The (l, b) torus at (theta, x), on the unit sphere of R^8."""
+    (a1, _), (a2, _) = frame_jets(x, l, b)
     t = np.asarray(theta)[..., None]
     abar = a1 * np.cos(t) + a2 * np.sin(t)
     return np.concatenate([x, abar], axis=-1) / math.sqrt(2.0)
 
 
-def t1_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
-    """Fiber cycle of the quaternion-multiplication model of the (1, 0)
+def t1_fiber(sign: int = 1, project: bool = True):
+    """The fiber jet of the quaternion-multiplication model of the (1, 0)
     torus: y -> (sign*y, y)/sqrt(2), projected into R^7 by default."""
 
     def jet(y):
@@ -449,7 +469,7 @@ def t1_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
         dz = np.concatenate([sign * fr, fr], axis=-1) / math.sqrt(2.0)
         return lk.stereographic_jet(z, dz) if project else (z, dz)
 
-    return lk.ParamCycle(jet=jet)
+    return jet
 
 
 def t1_separation() -> float:
@@ -457,8 +477,8 @@ def t1_separation() -> float:
     return lk.tau_fiber_separation(1)
 
 
-def t2_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
-    """Fiber cycle of the Hopf-map model of the (0, 1) torus:
+def t2_fiber(sign: int = 1, project: bool = True):
+    """The fiber jet of the Hopf-map model of the (0, 1) torus:
     y -> (sign * y i y^-1, y)/sqrt(2), projected into R^7 by default."""
 
     def jet(y):
@@ -468,7 +488,7 @@ def t2_fiber(sign: int = 1, project: bool = True) -> lk.ParamCycle:
         dz = np.concatenate([sign * deta, yj[1]], axis=-1) / math.sqrt(2.0)
         return lk.stereographic_jet(z, dz) if project else (z, dz)
 
-    return lk.ParamCycle(jet=jet)
+    return jet
 
 
 def t2_separation() -> float:
