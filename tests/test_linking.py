@@ -209,12 +209,15 @@ class TestGrid:
         assert np.abs(nodes - ref_nodes).max() <= 1e-14
         assert np.abs(weights - ref_weights).max() <= 1e-14
 
-    def test_grids_are_shared_and_read_only(self):
+    # the slice and the xi2 = 0 column: the two parts of the one _tau_grid
+    @pytest.mark.parametrize("part", [0, 1],
+                             ids=["_slice_grid", "_xi2_column"])
+    def test_grids_are_shared_and_read_only(self, part):
         grid = lk._tau_grid(5)
         assert lk._tau_grid(5) is grid
         lk.verify_lambda_tau(1, 5)
         assert lk._tau_grid(5) is grid
-        for array in grid:
+        for array in tau_halves(5)[part]:
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
