@@ -8,31 +8,44 @@ enumeration for u, the u-symmetry condition tying u and L together, the
 K-group, and the parity criteria derived from L (regular homotopy, the
 mod-2 diagonal class W, the compression necessary condition).
 
-Two shortcuts keep the fiber computations small:
+Three shortcuts keep the fiber computations small:
 
-- The K-group comes from one Smith form, of 2L.  P is unimodular
+- The K-group comes from at most one Smith form, of 2L.  P is unimodular
   (`validate` checks this on every file load) and L = P Lambda, so
   U_L (2L) V = T gives (U_L P)(2 Lambda) V = T, and K is the sum of the
   cyclic groups Z/gcd(t_i, d), with t padded by zeros to length b1.  For
   d != 0 every such factor divides d, so the reduction runs over Z/d:
-  each t_i is replaced by gcd(t_i, d), and for d = 2, 2L is 0 mod 2 and
-  nothing is eliminated.  For d = 0 it runs over Z.  `k_group` keeps the
-  factors alone and tracks no transform; `classify.classes_equal` tests
-  lattice membership instead.
+  each t_i is replaced by gcd(t_i, d).  For d in {1, 2}, 2L is 0 mod d,
+  nothing is eliminated and K = (Z/d)^b1 with no reduction at all; spin
+  manifolds give even u, so d = 2 is the common case.  For d = 0 it runs
+  over Z.  `k_group` keeps the factors alone and tracks no transform;
+  `classify.classes_equal` tests lattice membership instead.
+- u-symmetry, L(y,x) - L(x,y) = u.x.y, is checked on the basis pairs
+  j < k alone, each against its column (T_i[j, k])_i, which the data
+  builds once (`ManifoldData.pair_columns`): T is antisymmetric on
+  validated data, so the diagonal and the pairs j > k follow, and the
+  matrix sum_i u_i T_i is never formed.
 - Kappa enumeration walks only the sublattice u = w2 (mod 2) of the box,
   one parity class per axis, depth first and one axis at a time, which
   yields the admissible values in the same lexicographic order as a scan
   of the whole box.  The walk carries the partial column sum
-  r = sum_{i<k} u_i Q_i and the partial form, so fixing u_k = x adds
+  r = sum_{i<k} u_i Q_i and the partial form s, so fixing u_k = x adds
   x * (2 r_k + x Q_kk) to the form and x * Q_k to r: O(b2) per step, nothing
-  when x = 0, and no product Q u per point.  The box volume is still what
-  the enumeration cap guards.
+  when x = 0, and no product Q u per point.  The last axis l is not walked
+  but solved: its coordinate y must satisfy Q_ll y^2 + 2 r_l y = sigma - s,
+  which is linear when Q_ll = 0 (as on every hyperbolic block) and
+  otherwise has the roots (-r_l +- t) / Q_ll, t = isqrt(r_l^2 +
+  Q_ll (sigma - s)) when that is exact; the roots on the axis' parity
+  range are kept in ascending order.  So a b2-dimensional box costs one
+  walk of its first b2 - 1 axes, and the last step needs r_l alone.  The
+  box volume is still what the enumeration cap guards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from . import exact
@@ -94,6 +107,9 @@ def enumerate_kappa(data: ManifoldData, bound: int,
         return [()] if data.sigma == 0 else []
     axes = [range(-bound + (bound + w) % 2, bound + 1, 2) for w in data.w2]
     rows, last, found, u = data.Q.data, data.b2 - 1, [], [0] * data.b2
+    q_ll, last_axis = rows[last][last], axes[last]
+    if not last:
+        return [(y,) for y in _last_axis_roots(q_ll, 0, data.sigma, last_axis)]
     # an explicit stack, so the depth b2 meets no recursion limit; entry k
     # holds the values left on axis k, r = sum_{i<k} u_i Q_i and u[:k]^T Q u[:k]
     stack = [(iter(axes[0]), [0] * data.b2, 0)]
@@ -106,33 +122,62 @@ def enumerate_kappa(data: ManifoldData, bound: int,
             continue
         u[k] = x
         s += x * (2 * r[k] + x * rows[k][k])
-        if k < last:
+        if k < last - 1:
             if x:
                 r = [ri + x * qi for ri, qi in zip(r, rows[k])]
             stack.append((iter(axes[k + 1]), r, s))
-        elif s == data.sigma:
+            continue
+        for y in _last_axis_roots(q_ll, r[last] + x * rows[k][last],
+                                  data.sigma - s, last_axis):
+            u[last] = y
             found.append(tuple(u))
     return found
+
+
+def _last_axis_roots(q: int, r: int, c: int, axis: range):
+    """The y in `axis` with q y^2 + 2 r y = c, in ascending order: the
+    admissible values of the last coordinate once the others are fixed."""
+    if not q:
+        if r:
+            y, rem = divmod(c, 2 * r)
+            return (y,) if not rem and y in axis else ()
+        return axis if not c else ()
+    # q (q y^2 + 2 r y - c) = (q y + r)^2 - (r^2 + q c)
+    disc = r * r + q * c
+    if disc < 0:
+        return ()
+    t = math.isqrt(disc)
+    if t * t != disc:
+        return ()
+    roots = {(e - r) // q for e in (-t, t) if not (e - r) % q}
+    return sorted(y for y in roots if y in axis)
 
 
 def is_symmetric_pair(data: ManifoldData, u: Sequence[int],
                       L: IntMatrix) -> bool:
     """Whether L(y,x) - L(x,y) equals the triple intersection u.x.y on all
-    basis pairs, i.e. (u, L) can occur as a (kappa, lambda) value."""
+    basis pairs, i.e. (u, L) can occur as a (kappa, lambda) value.
+
+    Only the pairs j < k are compared, each against its column of T
+    (`ManifoldData.pair_columns`): on validated data T is antisymmetric,
+    so the diagonal and the pairs j > k follow."""
     if L.shape != (data.b3, data.b3):
         raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
-    t = data.triple_contraction(u)
-    # row j of L^T - L against row j of t
-    return all(x - y == z
-               for col, row, trow in zip(zip(*L.data), L.data, t.data)
-               for x, y, z in zip(col, row, trow))
+    if len(u) != data.b2:
+        raise ValueError(f"H2 vector length {len(u)} != b2 {data.b2}")
+    rows = L.data
+    return all(rows[k][j] - rows[j][k] == sum(map(mul, u, col))
+               for j, k, col in data.pair_columns)
 
 
 def k_group_factors(L: IntMatrix, d: int) -> tuple:
     """Invariant factors of H1 modulo the columns of 2*Lambda together with
-    d*identity, for any L = P Lambda with P unimodular, from one Smith
-    reduction of 2L that tracks no transform: over Z/d for d != 0, over Z
-    for d = 0 (see the module docstring)."""
+    d*identity, for any L = P Lambda with P unimodular.  For d in {1, 2},
+    2L is 0 mod d and the group is (Z/d)^b1; otherwise they come from one
+    Smith reduction of 2L that tracks no transform: over Z/d for d != 0,
+    over Z for d = 0 (see the module docstring)."""
+    if d in (1, 2):
+        return (d,) * L.rows
     twice = IntMatrix.from_rows(tuple(tuple([2 * x for x in row])
                                       for row in L.data), cols=L.cols)
     # looked up on the module so that a wrapper installed on

@@ -7,6 +7,11 @@ lenient and accepts plain JSON integers as well.
 An array whose entries are all `int` (not `bool`) or `str` is converted in
 one pass; any other array goes entry by entry through `decode_int`, which
 gives the same result or names the first bad entry.
+
+Encoding a vector is one `map(str, ...)` over its entries, which every
+caller passes as Python ints; only when `str` refuses an integer longer
+than `sys.get_int_max_str_digits()` does it go entry by entry through
+`encode_int`, whose message names the integer's size.
 """
 
 from __future__ import annotations
@@ -64,7 +69,10 @@ def decode_vector(obj) -> tuple:
 
 
 def encode_vector(v: Sequence[int]) -> list:
-    return [encode_int(x) for x in v]
+    try:
+        return list(map(str, v))
+    except ValueError:
+        return list(map(encode_int, v))  # names the integer str() refused
 
 
 def decode_matrix(obj, cols: Optional[int] = None) -> IntMatrix:

@@ -9,9 +9,10 @@ signature.  No chain complexes, no triangulations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import jsonio
 from .exact import IntMatrix, det_signature
@@ -37,16 +38,13 @@ class ManifoldData:
     sigma: int
     name: Optional[str] = None
 
-    def triple_contraction(self, u: Sequence[int]) -> IntMatrix:
-        """The antisymmetric matrix sum_i u_i * T[i] on H3 x H3."""
-        if len(u) != self.b2:
-            raise ValueError(f"H2 vector length {len(u)} != b2 {self.b2}")
-        out = [(0,) * self.b3] * self.b3
-        for ui, slice_ in zip(u, self.T):
-            if ui:
-                out = [tuple([o + ui * x for o, x in zip(orow, srow)])
-                       for orow, srow in zip(out, slice_.data)]
-        return IntMatrix.from_rows(tuple(out), cols=self.b3)
+    @functools.cached_property
+    def pair_columns(self) -> tuple:
+        """(j, k, (T[i][j, k] for every i)) for each basis pair j < k of
+        H3, the column `invariants.is_symmetric_pair` contracts with u;
+        built on first use and kept on the instance, outside the fields."""
+        return tuple((j, k, tuple(slice_.data[j][k] for slice_ in self.T))
+                     for j in range(self.b3) for k in range(j + 1, self.b3))
 
 
 def validate(data: ManifoldData) -> list:

@@ -116,6 +116,27 @@ def lambda_adjoint(data: ManifoldData, L: IntMatrix) -> IntMatrix:
     return inverse_unimodular(data.P) @ L
 
 
+def triple_contraction(data: ManifoldData, u) -> IntMatrix:
+    """The antisymmetric matrix sum_i u_i * T[i] on H3 x H3."""
+    if len(u) != data.b2:
+        raise ValueError(f"H2 vector length {len(u)} != b2 {data.b2}")
+    out = [(0,) * data.b3] * data.b3
+    for ui, slice_ in zip(u, data.T):
+        if ui:
+            out = [tuple([o + ui * x for o, x in zip(orow, srow)])
+                   for orow, srow in zip(out, slice_.data)]
+    return IntMatrix.from_rows(tuple(out), cols=data.b3)
+
+
+def reference_symmetric_pair(data: ManifoldData, u, L: IntMatrix) -> bool:
+    """u-symmetry on every entry: L^T - L equals the whole matrix
+    sum_i u_i T[i], the diagonal and both triangles included; the oracle
+    for invariants.is_symmetric_pair, which reads the pairs j < k."""
+    if L.shape != (data.b3, data.b3):
+        raise ValueError(f"L has shape {L.shape}, expected square of size {data.b3}")
+    return L.T - L == triple_contraction(data, u)
+
+
 def base_lambda(data: ManifoldData, u) -> IntMatrix:
     """Canonical basepoint form for the fiber over u: strictly lower
     triangular, with L[j,k] = u.x_k.x_j below the diagonal.
@@ -123,7 +144,7 @@ def base_lambda(data: ManifoldData, u) -> IntMatrix:
     Antisymmetry of the triple tensor makes this a u-symmetric form, and
     every other u-symmetric form differs from it by a symmetric matrix.
     """
-    t = data.triple_contraction(u)
+    t = triple_contraction(data, u)
     return IntMatrix([[t[k, j] if j > k else 0 for k in range(data.b3)]
                       for j in range(data.b3)], cols=data.b3)
 

@@ -6,12 +6,13 @@ from itertools import product
 
 import pytest
 
+import emb7.exact
 import emb7.invariants
 from conftest import (base_lambda, basis_change, cokernel, direct_sum,
                       free_h1_manifold, is_valid, k_relations,
                       lambda_adjoint, lattice_member, random_form_manifold,
                       random_matrix, random_symmetric, random_unimodular,
-                      scaled, to_json)
+                      reference_symmetric_pair, scaled, to_json)
 from emb7.classify import classes_equal, embedding_class
 from emb7.exact import IntMatrix, coset_normal_form
 from emb7.manifolds import BUILTIN_NAMES, ManifoldData, builtin
@@ -35,6 +36,46 @@ def form_with_hits(rng, b2: int, sign: int) -> ManifoldData:
     return ManifoldData(b1=0, b2=b2, b3=0, Q=Q, P=IntMatrix.zeros(0, 0),
                         T=(), w2=w2, sigma=sum(a * b for a, b in
                                                zip(u, Q.apply(u))))
+
+
+def kappa_form(Q, w2, sigma: int) -> ManifoldData:
+    """Unvalidated data holding only what kappa enumeration reads."""
+    Q = IntMatrix(Q, cols=len(Q))
+    return ManifoldData(b1=0, b2=Q.rows, b3=0, Q=Q, P=IntMatrix.zeros(0, 0),
+                        T=(), w2=tuple(w2), sigma=sigma)
+
+
+def surface_times_s2(genus: int) -> ManifoldData:
+    """Sigma_g x S^2: H2 spanned by [Sigma_g x pt] and [pt x S^2], H3 by
+    the a_i x S^2 and b_i x S^2, with the symplectic slice of the surface
+    class as in t2xs2."""
+    n = 2 * genus
+    slice_ = IntMatrix([[(1 if k == j + 1 else -1)
+                         if j // 2 == k // 2 and j != k else 0
+                         for k in range(n)] for j in range(n)], cols=n)
+    data = ManifoldData(b1=n, b2=2, b3=n, Q=IntMatrix([[0, 1], [1, 0]]),
+                        P=IntMatrix.identity(n),
+                        T=(slice_, IntMatrix.zeros(n, n)), w2=(0, 0),
+                        sigma=0, name=f"sigma{genus}xs2")
+    assert is_valid(data)
+    return data
+
+
+def tensor_manifold(rng, b2: int, b3: int) -> ManifoldData:
+    """A validated fixture with a random form on H2 (`random_form_manifold`),
+    a random unimodular pairing and random antisymmetric T slices."""
+    slices = []
+    for _ in range(b2):
+        m = [[0] * b3 for _ in range(b3)]
+        for j in range(b3):
+            for k in range(j + 1, b3):
+                m[j][k] = rng.randint(-3, 3)
+                m[k][j] = -m[j][k]
+        slices.append(IntMatrix(m, cols=b3))
+    data = dataclasses.replace(random_form_manifold(rng, b2), b1=b3, b3=b3,
+                               P=random_unimodular(rng, b3), T=tuple(slices))
+    assert is_valid(data)
+    return data
 
 
 class TestDivisibility:
@@ -133,6 +174,26 @@ class TestEnumerateKappa:
                   for sign in (1, -1) for _ in range(3)]
         forms += [form_with_hits(rng, rng.randint(1, 5), sign)
                   for sign in (0, 1, -1) for _ in range(8)]
+        # the last axis alone (b2 = 1), where q y^2 = sigma: two roots,
+        # none for a negative or non-square sigma / q, and a zero form
+        forms += [kappa_form([[q]], [w], sigma)
+                  for q, w, sigma in ((1, 1, 9), (1, 1, -1), (1, 0, 2),
+                                      (2, 0, 8), (2, 0, 6), (-3, 1, -27),
+                                      (-3, 1, -3), (0, 0, 0), (0, 1, 1))]
+        # a nonzero last diagonal entry, definite and indefinite, with
+        # prefixes whose discriminant is negative or not a square
+        forms += [kappa_form([[1, 0], [0, 1]], [1, 1], sigma)
+                  for sigma in (2, 3, 10, -2)]
+        forms += [kappa_form([[2, 1], [1, 3]], [0, 1], 7),
+                  kappa_form([[-2, 1], [1, -3]], [1, 1], -3),
+                  kappa_form([[1, 0], [0, -1]], [1, 1], 0),
+                  kappa_form([[1, 2], [2, -1]], [1, 0], -4),
+                  kappa_form([[0, 1, 0], [1, 2, 1], [0, 1, -1]], [0, 0, 1],
+                             -1)]
+        # an odd w2 bit on the last axis only
+        forms += [direct_sum(builtin("s2xs2"), builtin("cp2")),
+                  kappa_form([[0, 1, 0], [1, 0, 0], [0, 0, -1]], [0, 0, 1],
+                             -1)]
         for data in forms:
             for bound in range(4):
                 box = [u for u in product(range(-bound, bound + 1),
@@ -141,6 +202,17 @@ class TestEnumerateKappa:
                 assert enumerate_kappa(data, bound) == box, (data, bound)
         assert enumerate_kappa(builtin("s4"), 0) == [()]
         assert enumerate_kappa(builtin("s1xs3"), 0) == [()]
+        # Sigma_2 x S^2 # 3(S^2 x S^2) at bound 2, the benchmark's survey
+        # form: w2 = 0, so the box scan only needs {-2, 0, 2}^8
+        data = surface_times_s2(2)
+        for _ in range(3):
+            data = direct_sum(data, builtin("s2xs2"))
+        assert data.b2 == 8 and data.w2 == (0,) * 8
+        sublattice = list(product((-2, 0, 2), repeat=8))
+        assert len(sublattice) == 6561
+        box = [u for u in sublattice if is_kappa_admissible(data, u)]
+        assert len(box) == 1921
+        assert enumerate_kappa(data, 2) == box
 
     def test_cap_message(self):
         with pytest.raises(ValueError) as err:
@@ -196,6 +268,50 @@ class TestSymmetricPair:
                 L = IntMatrix([[rng.randint(-6, 6) for _ in range(2)]
                                for _ in range(2)])
                 assert is_symmetric_pair(t2s2, u, L) == (L - base).is_symmetric()
+
+    def test_matches_full_contraction(self, rng):
+        # b3 in {0, 1} has no pair j < k: only L's shape is checked
+        fixtures = [builtin(name) for name in BUILTIN_NAMES]
+        fixtures += [tensor_manifold(rng, rng.randint(1, 4), b3)
+                     for b3 in range(6) for _ in range(4)]
+        for data in fixtures:
+            n = data.b3
+            for _ in range(6):
+                u = tuple(rng.randint(-3, 3) for _ in range(data.b2))
+                L = base_lambda(data, u) + random_symmetric(rng, n)
+                forms = [L, random_matrix(rng, n, n, bound=3)]
+                for j, k in product(range(n), repeat=2):
+                    # one entry off: an off-diagonal one breaks the pair
+                    off = [list(row) for row in L.data]
+                    off[j][k] += rng.choice((-1, 1))
+                    forms.append(IntMatrix(off, cols=n))
+                for M in forms:
+                    want = reference_symmetric_pair(data, u, M)
+                    assert is_symmetric_pair(data, u, M) == want, (data, u, M)
+                    assert want == (M - L).is_symmetric()
+                assert is_symmetric_pair(data, u, L)
+                # of the one-entry changes, only the n diagonal ones hold
+                assert sum(is_symmetric_pair(data, u, M)
+                           for M in forms[2:]) == n
+
+    def test_argument_errors(self):
+        t2s2 = builtin("t2xs2")
+        with pytest.raises(ValueError) as err:
+            is_symmetric_pair(t2s2, (1, 0, 0), IntMatrix.zeros(2, 2))
+        assert str(err.value) == "H2 vector length 3 != b2 2"
+        with pytest.raises(ValueError) as err:
+            is_symmetric_pair(t2s2, (1, 0), IntMatrix.zeros(3, 3))
+        assert str(err.value) == \
+            "L has shape (3, 3), expected square of size 2"
+
+    def test_pair_columns_are_not_fields(self):
+        data = builtin("t2xs2")
+        fresh = builtin("t2xs2")
+        assert data.pair_columns == ((0, 1, (1, 0)),)
+        assert data.pair_columns is data.pair_columns
+        assert data == fresh and hash(data) == hash(fresh)
+        assert "pair_columns" not in {f.name for f in
+                                      dataclasses.fields(data)}
 
 
 class TestLambdaAdjoint:
@@ -261,6 +377,19 @@ class TestKGroup:
         t2s2 = builtin("t2xs2")
         with pytest.raises(ValueError):
             k_group(t2s2, (1, 0), IntMatrix.zeros(2, 2))
+
+    def test_unit_and_two_divisibility_match_smith_form(self, rng):
+        # 2L is 0 mod 1 and mod 2, so K = (Z/d)^b1 without a reduction
+        shapes = [(0, 0), (1, 1), (3, 3), (5, 5), (2, 4), (4, 2), (0, 3),
+                  (3, 0)]
+        for d in (1, 2):
+            for rows, cols in shapes + [(rng.randint(0, 6),) * 2
+                                        for _ in range(20)]:
+                L = random_matrix(rng, rows, cols, bound=9)
+                res = emb7.exact.smith_normal_form(
+                    scaled(L, 2), modulus=d, transforms=False)
+                assert k_group_factors(L, d) == (d,) * rows == \
+                    res.diagonal() + (d,) * (rows - min(res.D.shape))
 
     def test_invariance_under_basis_change(self, rng):
         t2s2 = builtin("t2xs2")
@@ -361,6 +490,15 @@ def twisted_pairing_fibers(rng, count: int) -> list:
     return fibers
 
 
+def odd_w2_fibers(rng, count: int) -> list:
+    """(data, u, L) fibers over cp2 # t2xs2, where u_1 is odd, so
+    d = divisibility(u) is odd: 1 for every u of the box [-3, 3]^3."""
+    data = direct_sum(builtin("cp2"), builtin("t2xs2"))
+    us = enumerate_kappa(data, 3)
+    return [(data, u, base_lambda(data, u) + random_symmetric(rng, data.b3))
+            for u in rng.sample(us, count)]
+
+
 class TestKGroupOracle:
     def test_twisted_pairing_matches_full_cokernel(self, rng):
         divisors = set()
@@ -445,29 +583,40 @@ class TestOneSmithFormPerKGroup:
         return calls
 
     def test_k_group(self, rng, snf_calls):
-        for data, u, L in twisted_pairing_fibers(rng, 5):
+        divisors = set()
+        fibers = twisted_pairing_fibers(rng, 5) + odd_w2_fibers(rng, 3)
+        for data, u, L in fibers:
+            d = divisibility(u)
+            divisors.add(d)
             snf_calls.clear()
             k_group(data, u, L)
-            assert len(snf_calls) == 1
+            # 2L is 0 mod d for d in {1, 2}: the group needs no Smith form
+            assert len(snf_calls) == (0 if d in (1, 2) else 1), d
+        assert {1, 2} <= divisors and divisors - {0, 1, 2}
 
     def test_cli_calls(self, rng, snf_calls, tmp_path, capsys):
         from emb7.cli import main
-        data, u, L = next(f for f in twisted_pairing_fibers(rng, 10)
-                          if divisibility(f[1]))
-        path = tmp_path / "twisted.json"
-        path.write_text(json.dumps(to_json(data)))
-        common = ["--manifold", str(path), "--u", json.dumps(u),
-                  "--L", json.dumps(L.tolists())]
-        cls = [json.dumps({"u": list(u), "L": L.tolists(),
-                           "beta": [b] * data.b1}) for b in (1, 3)]
-        for argv in (["k-group", *common],
-                     ["fiber", *common, "--enumerate", "--cap", "20"],
-                     ["classify", "equal", "--manifold", str(path),
-                      "--class1", cls[0], "--class2", cls[1]]):
-            snf_calls.clear()
-            assert main(argv) == 0, capsys.readouterr()
-            # classify equal tests lattice membership and takes no Smith form
-            assert len(snf_calls) == (0 if argv[0] == "classify" else 1), argv
+        fibers = twisted_pairing_fibers(rng, 10)
+        for wanted in ({2}, {4, 6}):
+            data, u, L = next(f for f in fibers
+                              if divisibility(f[1]) in wanted)
+            path = tmp_path / "twisted.json"
+            path.write_text(json.dumps(to_json(data)))
+            common = ["--manifold", str(path), "--u", json.dumps(u),
+                      "--L", json.dumps(L.tolists())]
+            cls = [json.dumps({"u": list(u), "L": L.tolists(),
+                               "beta": [b] * data.b1}) for b in (1, 3)]
+            smith = 0 if divisibility(u) == 2 else 1
+            for argv in (["k-group", *common],
+                         ["fiber", *common, "--enumerate", "--cap", "20"],
+                         ["classify", "equal", "--manifold", str(path),
+                          "--class1", cls[0], "--class2", cls[1]]):
+                snf_calls.clear()
+                assert main(argv) == 0, capsys.readouterr()
+                # classify equal tests lattice membership and takes no
+                # Smith form
+                assert len(snf_calls) == \
+                    (0 if argv[0] == "classify" else smith), argv
         capsys.readouterr()
 
 

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emb7.exact import IntMatrix
-from emb7.jsonio import decode_int, decode_matrix, decode_vector
+from emb7.jsonio import (decode_int, decode_matrix, decode_vector,
+                         encode_int, encode_vector)
 
 
 def per_entry_vector(obj) -> tuple:
@@ -81,3 +82,22 @@ class TestIntegerTooLong:
     def test_invalid_short_string_keeps_pythons_message(self):
         with pytest.raises(ValueError, match="invalid literal"):
             decode_int("12x")
+
+
+class TestEncodeVector:
+    @pytest.mark.parametrize("v", [
+        [], [0], (0, 0), [-1, -7, 0, 12], [-(10 ** 40), 10 ** 40],
+        [5, 10 ** sys.get_int_max_str_digits()],
+        [-(10 ** sys.get_int_max_str_digits()), 0]])
+    def test_matches_encode_int(self, v):
+        def per_entry():
+            return [encode_int(x) for x in v]
+
+        assert outcome(encode_vector, v) == outcome(per_entry)
+
+    def test_too_large_names_the_integer(self):
+        big = 10 ** sys.get_int_max_str_digits()  # one digit past the limit
+        with pytest.raises(ValueError) as exc:
+            encode_vector([1, big])
+        assert str(exc.value) == ("result is too large to print: an integer "
+                                  f"has {big.bit_length()} bits")
